@@ -47,14 +47,19 @@ def test_ipsc860_breakeven(benchmark, show):
 
 def test_breakeven_drives_gemm_gap(benchmark):
     """The gemmB-over-gemmT advantage is exactly the per-column saving."""
-    from repro.numa.model import gemm_model
+    from repro.bench import gemm_variants
+    from repro.numa import simulate
 
     def run(n=400, processors=28):
         machine = butterfly_gp1000()
-        point_t = gemm_model(n, processors, "gemmT", machine)
-        point_b = gemm_model(n, processors, "gemmB", machine)
-        saving = point_t.time_us - point_b.time_us
-        columns = point_b.counts.block_transfers
+        nodes = gemm_variants(n)
+        point_t, point_b = (
+            simulate(nodes[variant], processors=processors, machine=machine)
+            for variant in ("gemmT", "gemmB")
+        )
+        saving = point_t.total_time_us - point_b.total_time_us
+        worst = max(point_b.per_proc, key=lambda result: result.time_us)
+        columns = worst.counts.block_transfers
         per_column = (
             n * machine.remote_access_us
             - machine.block_transfer_us(n * 8)

@@ -7,9 +7,8 @@ dominates.  This ablation sweeps the contention coefficient and shows that
 transfers remain the right call, reproducing the paper's Section 8 claim.
 """
 
-from repro.bench import format_table
-from repro.numa import butterfly_gp1000
-from repro.numa.model import gemm_model
+from repro.bench import fig4_series, format_table, gemm_variants
+from repro.numa import butterfly_gp1000, simulate
 
 COEFFICIENTS = (0.0, 0.05, 0.1, 0.2, 0.4)
 
@@ -18,15 +17,14 @@ def sweep(n=400, processors=28):
     rows = []
     for coefficient in COEFFICIENTS:
         machine = butterfly_gp1000(contention_coefficient=coefficient)
-        sequential = gemm_model(n, 1, "gemmB", machine).time_us
-        point_t = gemm_model(n, processors, "gemmT", machine)
-        point_b = gemm_model(n, processors, "gemmB", machine)
+        _, series = fig4_series(n, [processors], machine)
+        speed_t, speed_b = series["gemmT"][0], series["gemmB"][0]
         rows.append(
             (
                 coefficient,
-                f"{sequential / point_t.time_us:.2f}",
-                f"{sequential / point_b.time_us:.2f}",
-                f"{point_t.time_us / point_b.time_us:.2f}x",
+                f"{speed_t:.2f}",
+                f"{speed_b:.2f}",
+                f"{speed_b / speed_t:.2f}x",
             )
         )
     return rows
@@ -53,9 +51,9 @@ def test_contention_hits_remote_heavy_code_harder(benchmark):
         quiet = butterfly_gp1000()
         noisy = butterfly_gp1000(contention_coefficient=0.2)
         degradation = {}
-        for variant in ("gemm", "gemmT", "gemmB"):
-            base = gemm_model(400, 28, variant, quiet).time_us
-            loud = gemm_model(400, 28, variant, noisy).time_us
+        for variant, node in gemm_variants(400).items():
+            base = simulate(node, processors=28, machine=quiet).total_time_us
+            loud = simulate(node, processors=28, machine=noisy).total_time_us
             degradation[variant] = loud / base
         return degradation
 

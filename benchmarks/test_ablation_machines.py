@@ -7,9 +7,8 @@ GP-1000, the Intel iPSC/i860 (much larger startup costs — Section 1's
 motivating numbers) and a uniform-memory control.
 """
 
-from repro.bench import format_table
+from repro.bench import fig4_series, format_table
 from repro.numa import butterfly_gp1000, ipsc860, uniform_memory
-from repro.numa.model import gemm_model
 
 MACHINES = (butterfly_gp1000, ipsc860, uniform_memory)
 
@@ -19,11 +18,8 @@ def sweep(n=400, processors=16):
     ratios = {}
     for factory in MACHINES:
         machine = factory()
-        sequential = gemm_model(n, 1, "gemmB", machine).time_us
-        speeds = {
-            variant: sequential / gemm_model(n, processors, variant, machine).time_us
-            for variant in ("gemm", "gemmT", "gemmB")
-        }
+        _, series = fig4_series(n, [processors], machine)
+        speeds = {variant: values[0] for variant, values in series.items()}
         ratios[machine.name] = speeds
         rows.append(
             (
@@ -63,11 +59,8 @@ def test_ipsc_block_transfers_essential(benchmark):
     message-passing machines."""
 
     def run(n=400, processors=16):
-        machine = ipsc860()
-        sequential = gemm_model(n, 1, "gemmB", machine).time_us
-        speed_t = sequential / gemm_model(n, processors, "gemmT", machine).time_us
-        speed_b = sequential / gemm_model(n, processors, "gemmB", machine).time_us
-        return speed_t, speed_b
+        _, series = fig4_series(n, [processors], ipsc860())
+        return series["gemmT"][0], series["gemmB"][0]
 
     speed_t, speed_b = benchmark(run)
     assert speed_b > 3 * speed_t

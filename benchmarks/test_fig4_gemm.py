@@ -1,8 +1,9 @@
 """FIG4 — Figure 4 of the paper: GEMM speedup on the Butterfly GP-1000.
 
 Regenerates the three curves (``gemm``, ``gemmT``, ``gemmB``) at the
-paper's scale (400x400 arrays, P = 1..28) with the exact closed-form model,
-and cross-checks one point against the event-exact simulator.
+paper's scale (400x400 arrays, P = 1..28) on the simulator's ``auto``
+engine (tier 0: one symbolic form per variant), and cross-checks a
+smaller scale and one point against the interpreter walk.
 
 Expected shape (paper): the untransformed ``gemm`` saturates at low
 speedup; the normalized variants scale to ~20 at 28 processors with
@@ -16,16 +17,15 @@ import pytest
 from repro.bench import (
     PAPER_PROCS,
     fig4_series,
-    fig4_series_simulated,
     figure_machine,
     render_chart,
     speedup_table,
 )
 
 
-def test_fig4_model_paper_scale(benchmark, show):
+def test_fig4_paper_scale(benchmark, show):
     procs, series = benchmark(fig4_series, 400, PAPER_PROCS)
-    show("Figure 4: GEMM speedups (N=400, model)",
+    show("Figure 4: GEMM speedups (N=400)",
          speedup_table(procs, series) + "\n\n"
          + render_chart(procs, series, title="speedup vs processors"))
     last = {name: values[-1] for name, values in series.items()}
@@ -42,26 +42,27 @@ def test_fig4_model_paper_scale(benchmark, show):
 def test_fig4_simulated_cross_check(benchmark, show):
     procs = (1, 8, 16, 28)
     procs_out, series = benchmark.pedantic(
-        fig4_series_simulated, args=(96, procs), rounds=1, iterations=1
+        fig4_series, args=(96, procs), rounds=1, iterations=1
     )
-    show("Figure 4 cross-check (N=96, event-exact simulator)",
+    show("Figure 4 cross-check (N=96)",
          speedup_table(procs_out, series))
     assert series["gemmB"][-1] > series["gemmT"][-1] > series["gemm"][-1]
 
 
-def test_fig4_model_matches_simulator_midscale(benchmark):
-    """The model and the simulator must agree exactly at any scale."""
+def test_fig4_auto_matches_walk_midscale(benchmark):
+    """The symbolic tier and the interpreter walk agree exactly."""
     from repro.bench import gemm_variants
     from repro.numa import simulate
-    from repro.numa.model import gemm_model
 
     machine = figure_machine()
     nodes = gemm_variants(48)
 
     def run():
-        sim = simulate(nodes["gemmB"], processors=12, machine=machine)
-        mod = gemm_model(48, 12, "gemmB", machine)
-        return sim.total_time_us, mod.time_us
+        auto = simulate(nodes["gemmB"], processors=12, machine=machine)
+        walk = simulate(
+            nodes["gemmB"], processors=12, machine=machine, engine="walk"
+        )
+        return auto.total_time_us, walk.total_time_us
 
-    sim_time, model_time = benchmark(run)
-    assert sim_time == pytest.approx(model_time, rel=1e-9)
+    auto_time, walk_time = benchmark(run)
+    assert auto_time == pytest.approx(walk_time, rel=1e-9)

@@ -73,6 +73,7 @@ from repro.linalg.sympoly import (
     _PLAN_SETUP_OPS,
     _flat_ops,
     bounded_sum,
+    compile_account,
     floordiv,
     mod,
     pos,
@@ -109,7 +110,7 @@ def measure_flat(repeats):
         + mod(3 * n + 1, 4)
     )
     ops = _flat_ops(expr)
-    fn = expr.compiled()
+    fn = compile_account({"value": expr})
     env = {"n": 400, "p": 3, "P": 28}
     calls = 20000
 
@@ -131,7 +132,7 @@ def measure_loop(repeats):
     """
     q = sym("q")
     expr = bounded_sum("q", sym("n"), q * q + mod(q, sym("P")) + 2)
-    fn = expr.compiled()
+    fn = compile_account({"value": expr})
     trips = 20000
     env = {"n": trips, "P": 7}
 
@@ -151,7 +152,7 @@ def measure_plan(repeats):
     q, P = sym("q"), sym("P")
     body = 3 * mod(q, P) + 2 * floordiv(q, P) + pos(q + (-50)) + mod(q + 1, P)
     expr = bounded_sum("q", sym("n"), body)
-    fn = expr.compiled()
+    fn = compile_account({"value": expr})
     calls = 2000
     points = []
     for procs in (1, 4, 8, 16, 28):

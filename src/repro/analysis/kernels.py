@@ -2,8 +2,9 @@
 
 Tiers 0 and 2 of the accounting engine answer cells by *executing
 generated Python*: the per-node kernel emitted by
-:class:`repro.codegen.pycodegen._KernelEmitter` and the compiled form
-evaluators emitted by ``repro.linalg.sympoly._compile_form``.  Both ride
+:class:`repro.codegen.pycodegen._KernelEmitter` and the fused form
+evaluator emitted by :func:`repro.linalg.sympoly.compile_account` (the
+``form`` artifact — the code ``SymbolicEngine.account`` runs).  Both ride
 through ``exec``, so nothing reviews the text they produce — a codegen
 regression shows up only as wrong counts (caught dynamically) or as
 silent waste (caught by nobody).  This pass parses the generated source
@@ -12,8 +13,8 @@ back into an AST and checks it like a reviewer would:
 * ``KERN001`` — an assignment inside a generated loop whose right-hand
   side does not depend on any loop variable: hoistable work executed
   once per iteration (the exact inefficiency the ROADMAP names for the
-  tier-0 residual ``BoundedSum`` loops, fixed in ``_compile_form`` by
-  the hoist this PR ships — the check keeps it fixed);
+  tier-0 residual ``BoundedSum`` loops, fixed in the form emitter by
+  invariant hoisting — the check keeps it fixed);
 * ``KERN002`` — a local assigned but never read: dead codegen output
   (``for`` targets are exempt — a counted-repeat loop must bind one
   even when strength reduction moved every use onto induction
@@ -86,7 +87,7 @@ def sanitize_generated_source(
 ) -> List[Diagnostic]:
     """Sanitize one generated-code artifact.
 
-    ``artifact`` labels the span (``"kernel"``, ``"form:local"``, ...);
+    ``artifact`` labels the span (``"kernel"`` or ``"form"``);
     ``expected`` is the set of ownership-test kinds (``"wrapped"`` /
     ``"blocked"``) the node program can legitimately need, or ``None``
     to skip the ownership check (tier-0 form code tests no ownership).
@@ -416,17 +417,12 @@ class KernelPass:
             )
         form_status = _cached_form(node)
         if form_status[0] == "ok":
-            engine = form_status[1]
-            for field in sorted(engine.forms):
-                compiled = engine.forms[field].compiled()
-                source = getattr(compiled, "source", None)
-                if isinstance(source, str):
-                    diagnostics.extend(
-                        sanitize_generated_source(
-                            source,
-                            artifact=f"form:{field}",
-                            program=program_name,
-                            expected=None,
-                        )
-                    )
+            diagnostics.extend(
+                sanitize_generated_source(
+                    form_status[1].evaluator().source,
+                    artifact="form",
+                    program=program_name,
+                    expected=None,
+                )
+            )
         return diagnostics

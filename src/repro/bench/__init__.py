@@ -3,7 +3,6 @@
 from repro.bench.ascii_plot import render_chart
 from repro.bench.figures import (
     fig4_series,
-    fig4_series_simulated,
     fig5_series,
     figure_machine,
     gemm_variants,
@@ -20,7 +19,6 @@ __all__ = [
     "PAPER_PROCS",
     "render_chart",
     "fig4_series",
-    "fig4_series_simulated",
     "fig5_series",
     "figure_machine",
     "format_table",

@@ -17,7 +17,6 @@ from repro.blas import PAPER_PRIORITY, gemm_program, syr2k_program
 from repro.codegen import generate_spmd
 from repro.core import access_normalize
 from repro.numa.machine import MachineConfig, butterfly_gp1000
-from repro.numa.model import gemm_speedup_series
 from repro.runtime.cache import SimulationCache
 from repro.runtime.metrics import Metrics
 
@@ -55,26 +54,16 @@ def fig4_series(
     n: int = 400,
     procs: Sequence[int] = PAPER_PROCS,
     machine: Optional[MachineConfig] = None,
-) -> Tuple[Sequence[int], Dict[str, List[float]]]:
-    """Figure 4 (GEMM speedups), via the exact closed-form model.
-
-    The model is validated against the event-exact simulator in the test
-    suite; at the paper's 400x400 scale it evaluates instantly.
-    """
-    machine = machine or figure_machine()
-    return procs, gemm_speedup_series(n, procs, machine)
-
-
-def fig4_series_simulated(
-    n: int = 128,
-    procs: Sequence[int] = PAPER_PROCS,
-    machine: Optional[MachineConfig] = None,
     *,
     jobs: int = 1,
     cache: Optional[SimulationCache] = None,
     metrics: Optional[Metrics] = None,
 ) -> Tuple[Sequence[int], Dict[str, List[float]]]:
-    """Figure 4 via the event-exact simulator (use moderate ``n``)."""
+    """Figure 4 (GEMM speedups), via the simulator's ``auto`` engine.
+
+    Tier 0 derives each variant's counts once as a symbolic form, so
+    the paper's 400x400 scale evaluates in a fraction of a second.
+    """
     machine = machine or figure_machine()
     series = run_speedup_sweep(
         gemm_variants(n), procs, machine=machine, baseline="gemmB",

@@ -18,7 +18,6 @@ from repro.bench.ascii_plot import render_chart
 from repro.bench.figures import fig4_series, fig5_series, figure_machine
 from repro.bench.harness import PAPER_PROCS, format_table, speedup_table
 from repro.numa.machine import butterfly_gp1000, ipsc860, uniform_memory
-from repro.numa.model import gemm_model
 from repro.runtime.cache import SimulationCache
 from repro.runtime.metrics import Metrics
 
@@ -27,14 +26,16 @@ def _section(title: str, body: str) -> str:
     return f"## {title}\n\n```\n{body}\n```\n"
 
 
-def fig4_section(n: int) -> str:
-    procs, series = fig4_series(n, PAPER_PROCS)
+def fig4_section(n: int, **sweep) -> str:
+    procs, series = fig4_series(n, PAPER_PROCS, **sweep)
     body = (
         speedup_table(procs, series)
         + "\n\n"
         + render_chart(procs, series, title=f"GEMM speedup, N={n}")
     )
-    return _section(f"FIG4 — GEMM speedups (N={n}, closed-form model)", body)
+    return _section(
+        f"FIG4 — GEMM speedups (N={n}, event-exact simulator)", body
+    )
 
 
 def fig5_section(
@@ -59,13 +60,18 @@ def fig5_section(
     )
 
 
-def contention_section(n: int = 400, processors: int = 28) -> str:
+def _gemm_speedups(n: int, processors: int, machine, **sweep):
+    """Each GEMM variant's speedup at ``processors`` over gemmB at P=1."""
+    _, series = fig4_series(n, [processors], machine, **sweep)
+    return {variant: values[0] for variant, values in series.items()}
+
+
+def contention_section(n: int = 400, processors: int = 28, **sweep) -> str:
     rows = []
     for coefficient in (0.0, 0.05, 0.1, 0.2, 0.4):
         machine = butterfly_gp1000(contention_coefficient=coefficient)
-        sequential = gemm_model(n, 1, "gemmB", machine).time_us
-        speed_t = sequential / gemm_model(n, processors, "gemmT", machine).time_us
-        speed_b = sequential / gemm_model(n, processors, "gemmB", machine).time_us
+        speeds = _gemm_speedups(n, processors, machine, **sweep)
+        speed_t, speed_b = speeds["gemmT"], speeds["gemmB"]
         rows.append(
             (coefficient, f"{speed_t:.2f}", f"{speed_b:.2f}",
              f"{speed_b / speed_t:.2f}x")
@@ -76,15 +82,11 @@ def contention_section(n: int = 400, processors: int = 28) -> str:
     )
 
 
-def machines_section(n: int = 400, processors: int = 16) -> str:
+def machines_section(n: int = 400, processors: int = 16, **sweep) -> str:
     rows = []
     for factory in (butterfly_gp1000, ipsc860, uniform_memory):
         machine = factory()
-        sequential = gemm_model(n, 1, "gemmB", machine).time_us
-        speeds = {
-            variant: sequential / gemm_model(n, processors, variant, machine).time_us
-            for variant in ("gemm", "gemmT", "gemmB")
-        }
+        speeds = _gemm_speedups(n, processors, machine, **sweep)
         rows.append(
             (
                 machine.name,
@@ -147,6 +149,7 @@ def build_report(
     ``metrics`` records stage timings and cache hit/miss counters.
     """
     machine = figure_machine()
+    sweep = dict(jobs=jobs, cache=cache, metrics=metrics)
     parts: List[str] = [
         "# Reproduced results",
         "",
@@ -158,10 +161,10 @@ def build_report(
         f"compute {machine.compute_per_statement_us} us/stmt, "
         f"contention {machine.contention_coefficient}.",
         "",
-        fig4_section(n_gemm),
-        fig5_section(n_syr2k, b, jobs=jobs, cache=cache, metrics=metrics),
-        contention_section(),
-        machines_section(),
+        fig4_section(n_gemm, **sweep),
+        fig5_section(n_syr2k, b, **sweep),
+        contention_section(**sweep),
+        machines_section(**sweep),
         breakeven_section(),
     ]
     return "\n".join(parts)

@@ -100,6 +100,10 @@ class _Atom:
     def free_symbols(self) -> frozenset:
         raise NotImplementedError
 
+    def binders(self) -> frozenset:
+        """Bound-variable names of the sums inside this atom."""
+        return self.arg.binders()
+
 
 def _modulus_key(modulus) -> Tuple:
     if isinstance(modulus, int):
@@ -121,6 +125,12 @@ def _modulus_symbols(modulus) -> frozenset:
     if isinstance(modulus, int):
         return frozenset()
     return modulus.free_symbols()
+
+
+def _modulus_binders(modulus) -> frozenset:
+    if isinstance(modulus, int):
+        return frozenset()
+    return modulus.binders()
 
 
 class Mod(_Atom):
@@ -151,6 +161,9 @@ class Mod(_Atom):
 
     def free_symbols(self) -> frozenset:
         return self.arg.free_symbols() | _modulus_symbols(self.modulus)
+
+    def binders(self) -> frozenset:
+        return self.arg.binders() | _modulus_binders(self.modulus)
 
     def __repr__(self) -> str:
         return f"Mod({self.arg!r}, {self.modulus!r})"
@@ -187,6 +200,9 @@ class FloorDiv(_Atom):
 
     def free_symbols(self) -> frozenset:
         return self.arg.free_symbols() | _modulus_symbols(self.modulus)
+
+    def binders(self) -> frozenset:
+        return self.arg.binders() | _modulus_binders(self.modulus)
 
     def __repr__(self) -> str:
         return f"FloorDiv({self.arg!r}, {self.modulus!r})"
@@ -319,6 +335,9 @@ class BoundedSum(_Atom):
             self.body.free_symbols() - frozenset([self.var])
         )
 
+    def binders(self) -> frozenset:
+        return self.bound.binders() | self.body.binders() | {self.var}
+
     def __repr__(self) -> str:
         return f"BoundedSum({self.var!r}, {self.bound!r}, {self.body!r})"
 
@@ -359,7 +378,7 @@ _Monomial = Tuple[Tuple[_Base, int], ...]
 class SymExpr:
     """A normalized polynomial over symbols and atoms (Fraction coeffs)."""
 
-    __slots__ = ("_terms", "_hashv", "_symbols", "_plan", "_compiledf")
+    __slots__ = ("_terms", "_hashv", "_symbols", "_binders", "_plan")
 
     _terms: Tuple[Tuple[_Monomial, Fraction], ...]
 
@@ -375,8 +394,8 @@ class SymExpr:
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hashv", None)
         object.__setattr__(self, "_symbols", None)
+        object.__setattr__(self, "_binders", None)
         object.__setattr__(self, "_plan", None)
-        object.__setattr__(self, "_compiledf", None)
 
     # -- construction helpers ------------------------------------------
     @staticmethod
@@ -424,6 +443,17 @@ class SymExpr:
                         names |= base.free_symbols()
             cached = frozenset(names)
             object.__setattr__(self, "_symbols", cached)
+        return cached
+
+    def binders(self) -> frozenset:
+        """Every bound-variable name of a sum anywhere inside."""
+        cached = self._binders
+        if cached is None:
+            names = set()
+            for atom in self.atoms():
+                names |= atom.binders()
+            cached = frozenset(names)
+            object.__setattr__(self, "_binders", cached)
         return cached
 
     def atoms(self) -> Iterator[_Atom]:
@@ -571,35 +601,6 @@ class SymExpr:
             )
         return int(value)
 
-    # -- compiled evaluation --------------------------------------------
-    def compiled(self):
-        """A Python function ``env -> int`` generated from this form.
-
-        Compiling once turns per-cell evaluation into straight-line
-        bytecode (atoms become cached locals, residue sums become real
-        loops with hoisted invariants) — the same derive-once /
-        evaluate-many discipline as the tier-2 kernel compiler, one
-        level down.  Falls back to the interpreter when a bound-variable
-        name is ambiguous (shadowing would mis-share cached atoms).
-        """
-        fn = self._compiledf
-        if fn is None:
-            if _bound_vars_ambiguous(self):
-                fn = self.evaluate
-            else:
-                fn = _compile_form(self)
-            object.__setattr__(self, "_compiledf", fn)
-        return fn
-
-    def evaluate_fast(self, env: Mapping[str, int]) -> int:
-        """:meth:`evaluate` through the compiled path."""
-        try:
-            return self.compiled()(env)
-        except KeyError as error:
-            raise SymbolicUnsupported(
-                f"unbound symbol {error.args[0]!r} at evaluation"
-            )
-
     # -- substitution ---------------------------------------------------
     def subs(self, name: str, replacement: "SymExpr") -> "SymExpr":
         """Substitute ``name := replacement`` (rebuilding atoms exactly)."""
@@ -640,17 +641,11 @@ class SymExpr:
         if isinstance(atom, BoundedSum):
             if name == atom.var:
                 return SymExpr._atom(atom)
-            if atom.var in replacement.free_symbols():
-                # Avoid capture: rename the bound variable first.
-                fresh = fresh_name()
-                renamed = BoundedSum(
-                    fresh, atom.bound, atom.body.subs(atom.var, sym(fresh))
-                )
-                return SymExpr._atom_subs(renamed, name, replacement)
+            var, body = _unbind(atom, replacement)
             return bounded_sum(
-                atom.var,
+                var,
                 atom.bound.subs(name, replacement),
-                atom.body.subs(name, replacement),
+                body.subs(name, replacement),
             )
         raise SymbolicUnsupported(f"cannot substitute into {atom!r}")
 
@@ -694,11 +689,12 @@ class SymExpr:
                 return SymExpr._atom(atom)
             return ge0(arg)
         if isinstance(atom, BoundedSum):
-            body = atom.body.replace_atom(target, replacement)
+            var, body = _unbind(atom, replacement)
+            body = body.replace_atom(target, replacement)
             bound = atom.bound.replace_atom(target, replacement)
             if body == atom.body and bound == atom.bound:
                 return SymExpr._atom(atom)
-            return bounded_sum(atom.var, bound, body)
+            return bounded_sum(var, bound, body)
         raise SymbolicUnsupported(f"cannot rewrite {atom!r}")
 
 
@@ -898,8 +894,31 @@ def eq0(expr) -> SymExpr:
     return ge0(expr) * ge0(-expr)
 
 
+def _rebind(var: str, body: SymExpr) -> Tuple[str, SymExpr]:
+    """``(fresh, body)`` with the sum variable ``var`` renamed throughout."""
+    fresh = fresh_name()
+    return fresh, body.subs(var, sym(fresh))
+
+
+def _unbind(atom: "BoundedSum", incoming: SymExpr) -> Tuple[str, SymExpr]:
+    """The sum's binder and body, renamed when ``incoming`` — about to be
+    placed inside the sum by a substitution or an atom replacement —
+    mentions the binder as a free symbol (which it would capture)."""
+    if atom.var in incoming.free_symbols():
+        return _rebind(atom.var, atom.body)
+    return atom.var, atom.body
+
+
 def bounded_sum(var: str, bound, body) -> SymExpr:
-    """``sum(body for var in [0, max(0, bound)))`` as a SymExpr."""
+    """``sum(body for var in [0, max(0, bound)))`` as a SymExpr.
+
+    Binders are hygienic by construction: when ``var`` is also free in
+    ``bound`` or rebound by a sum nested in ``body``, the new sum binds
+    a fresh name instead.  A compiled evaluator caches atoms per loop
+    scope by structure, so one name with two meanings in a scope chain
+    would share a cached value between them.  Sibling sums keep their
+    one shared binder — that is what fuses them into one loop.
+    """
     bound = SymExpr._coerce(bound)
     body = SymExpr._coerce(body)
     if not body._terms:
@@ -921,6 +940,8 @@ def bounded_sum(var: str, bound, body) -> SymExpr:
             for point in range(count):
                 total = total + body.subs(var, SymExpr._const(point))
             return total
+    if var in bound.free_symbols() or var in body.binders():
+        var, body = _rebind(var, body)
     return SymExpr._atom(BoundedSum(var, bound, body))
 
 
@@ -1408,52 +1429,6 @@ def _checked_fdiv(value, m):
     return value // m
 
 
-def _walk_bound_vars(expr: SymExpr, out: List[str]) -> None:
-    for atom in expr.atoms():
-        if isinstance(atom, BoundedSum):
-            out.append(atom.var)
-            _walk_bound_vars(atom.bound, out)
-            _walk_bound_vars(atom.body, out)
-        else:
-            _walk_bound_vars(atom.arg, out)
-            if isinstance(atom, (Mod, FloorDiv)) and not isinstance(
-                atom.modulus, int
-            ):
-                _walk_bound_vars(atom.modulus, out)
-
-
-def _bound_vars_ambiguous(expr: SymExpr) -> bool:
-    """True when a sum's bound variable could shadow another meaning.
-
-    :func:`sym_sum` binds one fresh ``__qN`` name per summation level,
-    so *sibling* sums legitimately share a name — that is what lets the
-    emitter fuse them into one loop.  Only nested reuse (an inner sum
-    rebinding an enclosing sum's name) or a bound name that is also free
-    in the expression can mis-share cached atoms."""
-    free = expr.free_symbols()
-
-    def _scan(e: SymExpr, enclosing: frozenset) -> bool:
-        for atom in e.atoms():
-            if isinstance(atom, BoundedSum):
-                if atom.var in enclosing or atom.var in free:
-                    return True
-                if _scan(atom.bound, enclosing):
-                    return True
-                if _scan(atom.body, enclosing | {atom.var}):
-                    return True
-            else:
-                if _scan(atom.arg, enclosing):
-                    return True
-                if isinstance(atom, (Mod, FloorDiv)) and not isinstance(
-                    atom.modulus, int
-                ):
-                    if _scan(atom.modulus, enclosing):
-                        return True
-        return False
-
-    return _scan(expr, frozenset())
-
-
 def _mono_depends(mono: _Monomial, var: str) -> bool:
     """Whether a monomial's value changes with the bound variable ``var``."""
     for base, _exp in mono:
@@ -1680,7 +1655,7 @@ class _LoopPlan:
         self.moduli = tuple(moduli)
         self.leaf_ops = leaf_ops
         self._unit = leaf_ops + len(specs) + 2
-        self.free_fn = _compile_multi(free_exprs)
+        self.free_fn = _compile_exprs(free_exprs) if free_exprs else None
 
     def run(self, env: Mapping[str, int], limit: int):
         """Per-member totals over ``range(max(0, limit))`` — or None."""
@@ -1886,13 +1861,21 @@ def _build_plan(var: str, bodies: List[SymExpr]) -> Optional[_LoopPlan]:
 # ---------------------------------------------------------------------------
 
 class _Scope:
-    """Atom -> local-variable cache, chained through enclosing scopes."""
+    """Atom -> local-variable cache, chained through enclosing scopes.
 
-    __slots__ = ("parent", "cache")
+    A loop body's scope binds the sum variable ``var``: a lookup never
+    climbs past it for an atom depending on ``var``, because outside
+    the loop that name — when free there at all — means something else.
+    """
 
-    def __init__(self, parent: Optional["_Scope"] = None) -> None:
+    __slots__ = ("parent", "cache", "var")
+
+    def __init__(
+        self, parent: Optional["_Scope"] = None, var: Optional[str] = None
+    ) -> None:
         self.parent = parent
         self.cache: Dict[_Atom, str] = {}
+        self.var = var
 
     def lookup(self, atom: _Atom) -> Optional[str]:
         scope = self
@@ -1900,6 +1883,8 @@ class _Scope:
             name = scope.cache.get(atom)
             if name is not None:
                 return name
+            if scope.var is not None and atom.depends_on(scope.var):
+                return None
             scope = scope.parent
         return None
 
@@ -1914,6 +1899,7 @@ class _Emitter:
         self.uses_env = False
         self.induction: Dict[_Atom, str] = {}
         self.groups_meta: List[Dict] = []
+        self.free: frozenset = frozenset()
         self._meta_stack: List[List[Dict]] = [self.groups_meta]
 
     def temp(self) -> str:
@@ -2011,6 +1997,7 @@ class _Emitter:
     def emit_outputs(
         self, exprs: List[SymExpr], scope: _Scope, indent: int
     ) -> List[str]:
+        self.free = frozenset().union(*(e.free_symbols() for e in exprs))
         term_lists = [expr._eval_plan()[1] for expr in exprs]
         for (var, bound), members in self._collect_groups(term_lists, scope):
             self.emit_group(var, bound, members, scope, indent)
@@ -2174,16 +2161,17 @@ class _Emitter:
             bpad = "    " * body_indent
             saved = self.symmap.get(var)
             self.symmap[var] = loop
-            if any(
+            snapshot = any(
                 isinstance(atom, BoundedSum)
                 for member in members
                 for atom in _deep_atoms(member.body, [])
-            ):
+            )
+            if snapshot:
                 # Nested plans resolve enclosing loop variables through
                 # the environment snapshot.
                 self.uses_env = True
                 self.lines.append(f"{bpad}_env[{var!r}] = {loop}")
-            inner = _Scope(fb_scope)
+            inner = _Scope(fb_scope, var)
             self._meta_stack.append(meta["children"])
             for (nvar, nbound), nested in self._collect_groups(movings, inner):
                 self.emit_group(nvar, nbound, nested, inner, body_indent)
@@ -2198,6 +2186,10 @@ class _Emitter:
                 del self.symmap[var]
             else:
                 self.symmap[var] = saved
+            if snapshot and var in self.free:
+                # The name is also free outside this sum: later plans
+                # must read its outer value from the snapshot again.
+                self.lines.append(f"{fpad}_env[{var!r}] = env[{var!r}]")
         for atom, _register, _delta in inductions:
             del self.induction[atom]
         finals: List[str] = []
@@ -2224,7 +2216,7 @@ class _Emitter:
                 scope.cache[member] = final
 
 
-def _compile_exprs(exprs: List[SymExpr], single: bool = False):
+def _compile_exprs(exprs: List[SymExpr]):
     emitter = _Emitter()
     scope = _Scope()
     outputs = emitter.emit_outputs(exprs, scope, 1)
@@ -2233,11 +2225,8 @@ def _compile_exprs(exprs: List[SymExpr], single: bool = False):
     if emitter.uses_env:
         lines.append("    _env = dict(env)")
     lines.extend(emitter.lines)
-    if single:
-        lines.append(f"    return {outputs[0]}")
-    else:
-        tail = "," if len(outputs) == 1 else ""
-        lines.append(f"    return ({', '.join(outputs)}{tail})")
+    tail = "," if len(outputs) == 1 else ""
+    lines.append(f"    return ({', '.join(outputs)}{tail})")
     source = "\n".join(lines) + "\n"
     namespace = {
         "_exact_div": _exact_div,
@@ -2260,40 +2249,23 @@ def _compile_exprs(exprs: List[SymExpr], single: bool = False):
     return form
 
 
-def _compile_multi(exprs: List[SymExpr]):
-    """Compiled ``env -> tuple`` for plan free slots (no bounded sums)."""
-    if not exprs:
-        return None
-    return _compile_exprs(list(exprs))
-
-
-def _compile_form(expr: SymExpr):
-    return _compile_exprs([expr], single=True)
-
-
 def compile_account(forms: "Mapping[str, SymExpr]"):
     """One fused evaluator ``env -> tuple`` for several forms.
 
-    All forms compile into a single function, so bounded sums sharing a
-    summation level — the per-field contributions of one derived
-    program always do — run in one fused loop (or one residue-class
-    plan) instead of one loop per field, and shared atoms evaluate
-    once.  Returns None when a bound-variable name is ambiguous across
-    the forms; the caller falls back to per-form evaluation.
+    This is the only compiled form of a :class:`SymExpr`: all forms
+    compile into a single function, so bounded sums sharing a summation
+    level — the per-field contributions of one derived program always
+    do — run in one fused loop (or one residue-class plan) and shared
+    atoms evaluate once.  The returned function carries ``fields`` (the
+    keys of ``forms``, in output order), ``source`` (the generated
+    text), ``plans`` and ``cost_tree`` (for :func:`planned_cost`).
+
+    Every form compiles.  Binder hygiene is a property of how sums are
+    built (see :func:`bounded_sum`), and the emitter scopes its atom
+    cache by loop, so a binder name that also occurs free elsewhere in
+    the forms keeps both meanings apart.
     """
-    exprs = list(forms.values())
-    bound: set = set()
-    free: set = set()
-    for expr in exprs:
-        if _bound_vars_ambiguous(expr):
-            return None
-        names: List[str] = []
-        _walk_bound_vars(expr, names)
-        bound.update(names)
-        free.update(expr.free_symbols())
-    if bound & free:
-        return None
-    fn = _compile_exprs(exprs)
+    fn = _compile_exprs(list(forms.values()))
     fn.fields = tuple(forms.keys())
     return fn
 

@@ -95,9 +95,10 @@ class SimulationResult:
     machine: MachineConfig
     per_proc: Tuple[ProcessorResult, ...]
     remote_multiplier: float = 1.0
-    #: Which accounting engine produced the counts: ``closed-form``
-    #: (tier 1), ``compiled`` (tier 2) or ``walk`` (tier 3).  All three
-    #: are bit-identical on every count; the tier only affects speed.
+    #: Which accounting engine produced the counts: ``symbolic``
+    #: (tier 0), ``closed-form`` (tier 1), ``compiled`` (tier 2) or
+    #: ``walk`` (tier 3).  All four are bit-identical on every count; the
+    #: tier only affects speed.
     engine: str = "walk"
 
     @property
@@ -1054,12 +1055,10 @@ def simulate(
 
 
 #: The argument tuple of :func:`simulate_task`:
-#: ``(node, processors, params, machine, mode, block_cache[, engine])``.
-#: The trailing engine entry is optional so pre-engine 6-tuples (older
-#: callers, pickled task queues) keep working and mean ``auto``.
+#: ``(node, processors, params, machine, mode, block_cache, engine)``.
 SimulateTask = Tuple[
     NodeProgram, int, Optional[Mapping[str, int]], Optional[MachineConfig],
-    str, bool,
+    str, bool, str,
 ]
 
 
@@ -1071,8 +1070,7 @@ def simulate_task(task: SimulateTask) -> SimulationResult:
     plain tuples of picklable dataclasses and calls this instead of a
     closure over :func:`simulate`.
     """
-    node, processors, params, machine, mode, block_cache = task[:6]
-    engine = task[6] if len(task) > 6 else "auto"
+    node, processors, params, machine, mode, block_cache, engine = task
     return simulate(
         node,
         processors=processors,

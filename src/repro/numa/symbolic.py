@@ -122,8 +122,8 @@ class SymbolicEngine:
     """Derive-once symbolic accounting for a node program (tier 0).
 
     Build once per node program — the constructor runs the full symbolic
-    derivation and compiles each count field — then call :meth:`account`
-    once per ``(params, P, proc)`` cell.  Raises
+    derivation and compiles one fused evaluator for all count fields —
+    then call :meth:`account` once per ``(params, P, proc)`` cell.  Raises
     :class:`SymbolicUnsupported` from the constructor when the nest (or
     its derivation) falls outside the symbolic fragment.
     """
@@ -146,16 +146,12 @@ class SymbolicEngine:
             {self.procs_name: _NOMINAL_PROCS, self.proc_name: 0}
         )
         self.forms: Dict[str, SymExpr] = self._derive()
-        for form in self.forms.values():
-            form.compiled()
         # One fused evaluator for all fields: sums sharing a summation
         # level run in one loop (or one residue-class plan) and shared
-        # atoms evaluate once.  None only for pathological bound-variable
-        # shadowing; account() then falls back to per-form evaluation.
-        # The identity snapshot lets _fused() detect callers that rebind
-        # ``self.forms`` entries (certification injects defective forms
-        # this way) and recompile, so the fused path can never serve a
-        # stale pre-mutation evaluator.
+        # atoms evaluate once.  The identity snapshot lets evaluator()
+        # detect callers that rebind ``self.forms`` entries
+        # (certification injects defective forms this way) and
+        # recompile, so it never serves a stale pre-mutation evaluator.
         self._account = compile_account(self.forms)
         self._account_forms = tuple(self.forms.values())
 
@@ -483,7 +479,7 @@ class SymbolicEngine:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def _fused(self):
+    def evaluator(self):
         """The fused evaluator for the *current* ``self.forms``.
 
         Recompiled whenever a form object has been rebound since the last
@@ -506,25 +502,14 @@ class SymbolicEngine:
         eval_env = dict(env)
         eval_env[self.procs_name] = processors
         eval_env[self.proc_name] = proc
-        fused = self._fused()
-        if fused is not None:
-            try:
-                values = fused(eval_env)
-            except KeyError as error:
-                raise SymbolicUnsupported(
-                    f"unbound symbol {error.args[0]!r} at evaluation"
-                )
-            return AccessCounts(**dict(zip(fused.fields, values)))
-        return AccessCounts(
-            **{
-                name: form.evaluate_fast(eval_env)
-                for name, form in self.forms.items()
-            }
-        )
-
-    def term_counts(self) -> Dict[str, int]:
-        """Per-field form sizes (for diagnostics and the benchmark)."""
-        return {name: form.term_count() for name, form in self.forms.items()}
+        fused = self.evaluator()
+        try:
+            values = fused(eval_env)
+        except KeyError as error:
+            raise SymbolicUnsupported(
+                f"unbound symbol {error.args[0]!r} at evaluation"
+            )
+        return AccessCounts(**dict(zip(fused.fields, values)))
 
     def estimate_cost(self, env: Dict[str, int], processors: int) -> int:
         """Estimated flat-op count to evaluate all fields for one processor.
@@ -536,9 +521,9 @@ class SymbolicEngine:
         (residual loops over large extents) to the next tier; a forced
         ``symbolic`` engine is never demoted.
 
-        When the fused evaluator compiled, the estimate walks its cost
-        tree (:func:`~repro.linalg.sympoly.planned_cost`), mirroring what
-        the runtime will actually execute: fused loops are costed once —
+        The estimate walks the fused evaluator's cost tree
+        (:func:`~repro.linalg.sympoly.planned_cost`), mirroring what the
+        runtime will actually execute: fused loops are costed once —
         not once per field — and a level with a residue-class plan costs
         O(classes) with the *concrete* ``lcm`` of its moduli, so banded
         forms whose wrapped levels collapse to one class promote
@@ -547,8 +532,6 @@ class SymbolicEngine:
         eval_env = dict(env)
         eval_env[self.procs_name] = processors
         eval_env[self.proc_name] = 0
-        hint = self._make_hint(eval_env)
-        fused = self._fused()
-        if fused is not None:
-            return planned_cost(fused.cost_tree, hint)
-        return sum(eval_cost(form, hint) for form in self.forms.values())
+        return planned_cost(
+            self.evaluator().cost_tree, self._make_hint(eval_env)
+        )

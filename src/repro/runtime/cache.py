@@ -76,11 +76,10 @@ def cell_key(
 ) -> str:
     """The cache key of one simulation cell.
 
-    All accounting engines are bit-identical, so ``engine`` only enters
-    the key when it is forced away from ``auto`` (keeping every
-    pre-engine fingerprint — and warm disk stores — valid): a forced-walk
-    benchmark cell must not be answered from an ``auto`` result, because
-    the cached ``SimulationResult.engine`` would misreport the tier.
+    All accounting engines are bit-identical, yet ``engine`` is part of
+    the key: a forced-walk benchmark cell must not be answered from an
+    ``auto`` result, because the cached ``SimulationResult.engine``
+    would misreport the tier.
     """
     bound = node.program.bound_params(params)
     param_part = ";".join(f"{k}={v}" for k, v in sorted(bound.items()))
@@ -92,9 +91,8 @@ def cell_key(
         machine_part,
         f"mode={mode}",
         f"block_cache={block_cache}",
+        f"engine={engine}",
     ]
-    if engine != "auto":
-        parts.append(f"engine={engine}")
     raw = "\n".join(parts)
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 

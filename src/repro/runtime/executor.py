@@ -45,7 +45,7 @@ class SweepCell:
     machine: Optional[MachineConfig] = None
     mode: str = "account"
     block_cache: bool = False
-    #: Accounting engine (``auto``/``closed-form``/``compiled``/``walk``);
+    #: Accounting engine (one of :data:`repro.numa.simulator.ENGINES`);
     #: every engine is bit-identical, so this only affects speed — and is
     #: what the perf benchmarks force to compare tiers.
     engine: str = "auto"
@@ -120,10 +120,7 @@ def run_grid(
         for (key, _), outcome in zip(tasks, outcomes):
             if isinstance(outcome, SimulationResult):
                 cache.put(key, outcome)
-                # Tier selection telemetry: sim.tier.closed_form /
-                # sim.tier.compiled / sim.tier.walk ("walk" default also
-                # covers results unpickled from pre-engine disk stores).
-                tier = getattr(outcome, "engine", "walk").replace("-", "_")
+                tier = outcome.engine.replace("-", "_")
                 metrics.count(f"sim.tier.{tier}")
             for index in pending[key]:
                 results[index] = outcome

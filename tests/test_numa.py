@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench import fig4_series, gemm_variants
 from repro.blas import gemm_program, gemm_reference, syr2k_program, syr2k_reference
 from repro.codegen import generate_ownership, generate_spmd
 from repro.core import access_normalize
@@ -15,7 +16,6 @@ from repro.numa import (
     simulate,
     uniform_memory,
 )
-from repro.numa.model import gemm_model, gemm_speedup_series
 from repro.numa.simulator import _count_congruent, _count_in_interval
 
 
@@ -202,35 +202,38 @@ class TestContention:
 
 
 class TestModelCrossValidation:
+    """Figure 4's performance model is the tier-0 symbolic form that the
+    ``auto`` engine evaluates; it must equal the interpreter walk."""
+
+    @staticmethod
+    def _simulate(node, processors, machine):
+        auto, walk = (
+            simulate(
+                node, processors=processors, machine=machine, engine=engine
+            )
+            for engine in ("auto", "walk")
+        )
+        assert auto.engine == "symbolic"
+        assert auto.total_time_us == walk.total_time_us
+        return walk
+
     @pytest.mark.parametrize("variant,block", [
         ("gemmT", False),
         ("gemmB", True),
     ])
     @pytest.mark.parametrize("processors", [1, 3, 7])
     def test_normalized_variants_match_simulator(self, variant, block, processors):
-        n = 24
         machine = butterfly_gp1000(contention_coefficient=0.05)
-        node = generate_spmd(
-            access_normalize(gemm_program(n)).transformed, block_transfers=block
-        )
-        simulated = simulate(node, processors=processors, machine=machine)
-        modeled = gemm_model(n, processors, variant, machine)
-        assert simulated.total_time_us == pytest.approx(modeled.time_us, rel=1e-9)
+        walk = self._simulate(gemm_variants(24)[variant], processors, machine)
+        transfers = walk.totals.block_transfers
+        assert (transfers > 0) == (block and processors > 1)
 
     @pytest.mark.parametrize("processors", [1, 3, 7])
     def test_naive_variant_matches_simulator(self, processors):
-        n = 24
         machine = butterfly_gp1000(contention_coefficient=0.05)
-        node = generate_spmd(gemm_program(n), block_transfers=False)
-        simulated = simulate(node, processors=processors, machine=machine)
-        modeled = gemm_model(n, processors, "gemm", machine)
-        assert simulated.total_time_us == pytest.approx(modeled.time_us, rel=1e-9)
+        self._simulate(gemm_variants(24)["gemm"], processors, machine)
 
     def test_speedup_series_shape(self):
-        series = gemm_speedup_series(64, [1, 4, 8, 16])
+        _, series = fig4_series(64, [1, 4, 8, 16], butterfly_gp1000())
         assert series["gemmB"][-1] > series["gemmT"][-1] > series["gemm"][-1]
         assert series["gemmB"][0] == pytest.approx(1.0)
-
-    def test_unknown_variant(self):
-        with pytest.raises(SimulationError):
-            gemm_model(16, 2, "gemmX")

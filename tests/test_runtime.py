@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.figures import (
-    fig4_series_simulated,
+    fig4_series,
     fig5_series,
     figure_machine,
     gemm_variants,
@@ -88,6 +88,7 @@ class TestFingerprints:
         assert cell_key(gemm_node, 4, None, ipsc860()) != base
         assert cell_key(gemm_node, 4, None, machine, mode="execute") != base
         assert cell_key(gemm_node, 4, None, machine, block_cache=True) != base
+        assert cell_key(gemm_node, 4, None, machine, engine="walk") != base
         assert cell_key(gemm_node, 4, None, machine) == base
 
 
@@ -220,7 +221,9 @@ class TestMetricsSnapshots:
 class TestSimulateTask:
     def test_matches_direct_simulate(self, gemm_node):
         direct = simulate(gemm_node, processors=3)
-        via_task = simulate_task((gemm_node, 3, None, None, "account", False))
+        via_task = simulate_task(
+            (gemm_node, 3, None, None, "account", False, "auto")
+        )
         assert via_task.total_time_us == direct.total_time_us
         assert via_task.totals.remote == direct.totals.remote
 
@@ -295,10 +298,10 @@ class TestRunGrid:
 class TestSweepDeterminism:
     def test_fig4_parallel_equals_serial(self):
         procs = [1, 2, 4]
-        _, serial = fig4_series_simulated(
+        _, serial = fig4_series(
             16, procs, jobs=1, cache=SimulationCache()
         )
-        _, parallel = fig4_series_simulated(
+        _, parallel = fig4_series(
             16, procs, jobs=4, cache=SimulationCache()
         )
         assert serial == parallel

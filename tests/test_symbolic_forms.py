@@ -23,6 +23,7 @@ from repro.linalg import Progression
 from repro.linalg.sympoly import (
     SymbolicUnsupported,
     bounded_sum,
+    compile_account,
     const,
     eq0,
     eval_cost,
@@ -99,16 +100,134 @@ class TestSympoly:
     def test_compiled_forms_match_interpreter(self):
         node = gemm_variants(12)["gemm"]
         engine = SymbolicEngine(node)
+        fused = compile_account(engine.forms)
         env = node.program.bound_params(None)
         for P in (1, 3, 4):
             for proc in range(P):
                 full = dict(env)
                 full[engine.procs_name] = P
                 full[engine.proc_name] = proc
+                values = dict(zip(fused.fields, fused(full)))
                 for name, form in engine.forms.items():
-                    assert form.evaluate_fast(full) == form.evaluate(full), (
+                    assert values[name] == form.evaluate(full), (
                         name, P, proc,
                     )
+
+
+# ----------------------------------------------------------------------
+# binder hygiene: every form compiles, whatever names its sums bind
+# ----------------------------------------------------------------------
+def _assert_compiles_like_interpreter(expr, grid):
+    fused = compile_account({"total": expr})
+    for env in grid:
+        assert fused(env) == (expr.evaluate(env),), env
+
+
+class TestBinderHygiene:
+    def test_nested_sums_rebinding_one_name(self):
+        q, n, P = sym("q"), sym("n"), sym("P")
+        inner = bounded_sum("q", P, q * mod(q + n, P))
+        # The outer body repeats the inner atom mod(q + n, P): with one
+        # name for both binders, a scope-cached copy would leak across.
+        expr = bounded_sum("q", n, q * inner + mod(q + n, P))
+        assert len(expr.binders()) == 2
+        _assert_compiles_like_interpreter(expr, [
+            {"n": N, "P": procs}
+            for N in (-1, 0, 1, 5, 13, 30) for procs in (1, 2, 3, 7)
+        ])
+
+    def test_binder_also_free_in_the_expression(self):
+        k, N = sym("k"), sym("N")
+        # ``k`` is free in the bound (and outside the sum) yet bound in
+        # the body: two meanings of one name in one form.
+        expr = 5 * mod(k, 4) + bounded_sum("k", k + 3, k * N + mod(k, 4))
+        assert "k" in expr.free_symbols()
+        assert "k" not in expr.binders()
+        _assert_compiles_like_interpreter(expr, [
+            {"k": value, "N": size}
+            for value in (-4, 0, 1, 6, 11) for size in (0, 2, 9)
+        ])
+
+    def test_binder_free_in_a_sibling_sum(self):
+        k, n, P = sym("k"), sym("n"), sym("P")
+        # Emitted in construction order: ``head`` caches mod(k, 5) for
+        # the free ``k`` before ``bound_k`` loops over its own ``k``
+        # (its nested sum makes the loop write the plans' environment
+        # snapshot), and ``tail``'s plan reads the free ``k`` after it.
+        head = bounded_sum("h", mod(k, 5) + n, sym("h"))
+        bound_k = bounded_sum(
+            "k", n, mod(k, 5) * bounded_sum("i", P, mod(sym("i") + k, P))
+        )
+        tail = bounded_sum("j", mod(k, 5) + n, mod(sym("j") + k, 7))
+        expr = head + bound_k + tail
+        assert "k" in expr.free_symbols() and "k" in expr.binders()
+        _assert_compiles_like_interpreter(expr, [
+            {"k": value, "n": N, "P": procs}
+            for value in (-3, 2, 7) for N in (0, 5, 13, 41)
+            for procs in (1, 3, 4)
+        ])
+
+    def test_replace_atom_does_not_capture(self):
+        t, n, x = sym("t"), sym("n"), sym("x")
+        (target,) = pos(x).atoms()
+        expr = bounded_sum("t", n, t * pos(x)).replace_atom(target, t)
+        for env in ({"n": N, "t": value} for N in (0, 1, 6) for value in (-2, 3)):
+            expected = env["t"] * sum(range(env["n"]))
+            assert expr.evaluate(env) == expected, env
+        _assert_compiles_like_interpreter(expr, [
+            {"n": N, "t": value} for N in (0, 1, 6, 20) for value in (-2, 3)
+        ])
+
+    def test_sibling_sums_keep_their_shared_binder(self):
+        q, n = sym("q"), sym("n")
+        forms = {
+            "a": bounded_sum("q", n, q * q),
+            "b": bounded_sum("q", n, mod(q, 3)),
+        }
+        assert forms["a"].binders() == forms["b"].binders() == {"q"}
+        fused = compile_account(forms)
+        assert fused.source.count("for ") == 1  # one fused loop
+        env = {"n": 10}
+        assert fused(env) == tuple(f.evaluate(env) for f in forms.values())
+
+
+def test_every_shipped_engine_compiles_its_fused_evaluator():
+    from repro.analysis.cli import _load_input
+    from repro.analysis.manager import build_context
+
+    inputs = [
+        os.path.join(EXAMPLES, name)
+        for name in sorted(os.listdir(EXAMPLES)) if name.endswith(".an")
+    ] + sorted(
+        os.path.join(REPO_ROOT, "tests", "corpus", name)
+        for name in os.listdir(os.path.join(REPO_ROOT, "tests", "corpus"))
+        if name.endswith(".json")
+    )
+    engines = 0
+    for path in inputs:
+        program, _ = _load_input(path)
+        for block_transfers in (False, True):
+            node = build_context(
+                program, block_transfers=block_transfers
+            ).node
+            try:
+                engine = SymbolicEngine(node)
+            except SymbolicUnsupported:
+                continue
+            engines += 1
+            fused = engine.evaluator()
+            assert fused.fields == FIELDS, path
+            env = node.program.bound_params(None)
+            for proc in range(3):
+                point = dict(env)
+                point[engine.procs_name] = 3
+                point[engine.proc_name] = proc
+                expected = tuple(
+                    engine.forms[field].evaluate(point) for field in FIELDS
+                )
+                assert fused(point) == expected, (path, proc)
+    # Every input but the two block-cyclic corpus entries (no tier 0).
+    assert engines == 2 * (len(inputs) - 2)
 
 
 # ----------------------------------------------------------------------
@@ -414,12 +533,9 @@ class TestResidueClassSpecialization:
     """
 
     def test_split_unsplit_walk_agree_on_banded_grid(self):
-        from repro.linalg.sympoly import compile_account
-
         for name, node in syr2k_variants(18, 3).items():
             engine = SymbolicEngine(node)
             fused = compile_account(engine.forms)
-            assert fused is not None, name
             for params in ({"N": 18, "b": 3}, {"N": 25, "b": 4}):
                 env = node.program.bound_params(params)
                 for processors in (1, 2, 3, 5):
@@ -447,9 +563,7 @@ class TestResidueClassSpecialization:
         # The whole point of the PR: SYR2K's wrapped banded nest must
         # actually compile a residue-class plan, not just a loop.
         node = syr2k_variants(24, 4)["syr2k"]
-        engine = SymbolicEngine(node)
-        fused = engine._fused()
-        assert fused is not None
+        fused = SymbolicEngine(node).evaluator()
         assert any(plan is not None for plan in fused.plans)
 
     def test_plan_matches_interpreter_on_synthetic_mod_sums(self):
@@ -469,12 +583,12 @@ class TestResidueClassSpecialization:
         expr = bounded_sum("q", n, body) + bounded_sum(
             "r", mod(n, P) + 2, sym("r") + 7
         )
-        fast = expr.compiled()
+        fast = compile_account({"total": expr})
         for N in (0, 1, 7, 12, 13, 40, 97):
             for procs in (1, 2, 3, 4, 7):
                 for c in (0, 3, 50):
                     env = {"n": N, "P": procs, "c": c}
-                    assert fast(env) == expr.evaluate(env), env
+                    assert fast(env) == (expr.evaluate(env),), env
 
     def test_plan_falls_back_on_nonpositive_modulus(self):
         # A runtime modulus <= 0 must raise the checked-atom error from
@@ -485,7 +599,7 @@ class TestResidueClassSpecialization:
         with pytest.raises(SymbolicUnsupported):
             expr.evaluate(env)
         with pytest.raises(SymbolicUnsupported):
-            expr.evaluate_fast(env)
+            compile_account({"total": expr})(env)
 
     def test_strength_reduced_sources_pass_kernel_sanitizer(self):
         # KERN001/KERN002 stay clean on the emitted fused sources even
@@ -498,10 +612,8 @@ class TestResidueClassSpecialization:
             ("gemm", gemm_variants(16)),
         ):
             for name, node in variants.items():
-                engine = SymbolicEngine(node)
-                fused = engine._fused()
-                assert fused is not None, name
+                fused = SymbolicEngine(node).evaluator()
                 diagnostics = sanitize_generated_source(
-                    fused.source, artifact="form:fused", program=name
+                    fused.source, artifact="form", program=name
                 )
                 assert diagnostics == [], (name, diagnostics)
