@@ -19,7 +19,7 @@ from repro.bench.figures import fig4_series, fig5_series, figure_machine
 from repro.bench.harness import PAPER_PROCS, format_table, speedup_table
 from repro.numa.machine import butterfly_gp1000, ipsc860, uniform_memory
 from repro.runtime.cache import SimulationCache
-from repro.runtime.metrics import Metrics
+from repro.runtime.metrics import Metrics, with_process_counters
 
 
 def _section(title: str, body: str) -> str:
@@ -203,7 +203,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         handle.write(report)
     print(f"wrote {args.output} ({len(report.splitlines())} lines)")
     if args.profile:
-        print(metrics.report(), file=sys.stderr)
+        print(with_process_counters(metrics).report(), file=sys.stderr)
     return 0
 
 

@@ -39,6 +39,7 @@ from repro.bench.harness import format_table
 from repro.errors import ReproError
 from repro.lang import parse_program
 from repro.runtime import Metrics
+from repro.runtime.metrics import with_process_counters
 from repro.service.jobs import (
     MACHINES as _MACHINES,
     compile_payload,
@@ -99,7 +100,7 @@ def cmd_simulate(args) -> int:
         print(stderr, file=sys.stderr)
     print(stdout)
     if args.profile:
-        print(metrics.report(), file=sys.stderr)
+        print(with_process_counters(metrics).report(), file=sys.stderr)
     return 0
 
 
@@ -132,7 +133,7 @@ def cmd_autodist(args) -> int:
     print(format_table(["rank", "distribution", "time (us)"], rows))
     print(f"\nbest: {outcome.best.describe()}")
     if args.profile:
-        print(metrics.report(), file=sys.stderr)
+        print(with_process_counters(metrics).report(), file=sys.stderr)
     return 0
 
 

@@ -20,7 +20,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.runtime.executor import resolve_jobs, run_tasks
-from repro.runtime.metrics import Metrics
+from repro.runtime.metrics import Metrics, with_process_counters
 from repro.fuzz.oracle import FuzzRecord, check_spec, fuzz_task
 from repro.fuzz.shrink import shrink_spec, write_corpus_entry, write_pytest_repro
 from repro.fuzz.spec import ProgramSpec, SpecError
@@ -200,7 +200,7 @@ def cmd_fuzz(args) -> int:
             file=sys.stderr,
         )
     if args.profile:
-        print(metrics.report(), file=sys.stderr)
+        print(with_process_counters(metrics).report(), file=sys.stderr)
     return 0 if summary["ok"] else 1
 
 

@@ -39,6 +39,7 @@ the simulator treats as "fall down the engine ladder", never as an error.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import gcd as _gcd
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
@@ -74,14 +75,21 @@ class SymbolicUnsupported(Exception):
 # ---------------------------------------------------------------------------
 
 class _Atom:
-    """Base class of non-polynomial bases.  Immutable and hashable."""
+    """Base class of non-polynomial bases.  Immutable and hashable.
 
-    __slots__ = ("_hash",)
+    Atoms entering a form are interned (:func:`_intern`): structurally
+    equal atoms built through the constructors are one object, which
+    carries its sort index in ``_order``.
+    """
+
+    __slots__ = ("_hash", "_order")
 
     def _key(self) -> Tuple:
         raise NotImplementedError
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return type(self) is type(other) and self._key() == other._key()
 
     def __hash__(self) -> int:
@@ -90,6 +98,16 @@ class _Atom:
             value = hash((type(self).__name__,) + self._key())
             object.__setattr__(self, "_hash", value)
         return value
+
+    def __reduce__(self):
+        # Rebuild through the intern table: the cached hash and sort
+        # index are process-local and must not travel in a pickle.
+        fields = tuple(
+            getattr(self, name)
+            for name in type(self).__slots__
+            if not name.startswith("_")
+        )
+        return (_interned, (type(self),) + fields)
 
     def evaluate(self, env: Mapping[str, int], memo: Dict) -> Fraction:
         raise NotImplementedError
@@ -345,21 +363,60 @@ class BoundedSum(_Atom):
 _Base = Union[str, _Atom]
 
 
-#: Structural-equality interning registry: every distinct atom gets a
-#: small integer at first sight, giving monomial sorting an O(1) key.
-#: (Keying the sort on ``repr`` instead is quadratic-to-exponential on
-#: deeply nested atoms: each comparison re-renders whole subtrees.)
-#: First-come order is arbitrary but stable within a process, which is
-#: all canonicalization needs — equality compares content, not order.
-_ATOM_ORDER: Dict[_Atom, int] = {}
+#: Hash-consing table: every structurally distinct atom that enters a
+#: form maps to its one canonical object.  Equal atoms are then one
+#: object, so comparing them is an identity test instead of a recursive
+#: walk of equal trees.  The canonical atom's ``_order`` is its index in
+#: this table, fixed when it is registered (at construction through
+#: :meth:`SymExpr._atom`, which sorts it at once, or at first sort for an
+#: atom built directly), and gives monomial sorting an O(1) key.  (Keying
+#: the sort on ``repr`` instead is quadratic-to-exponential on deeply
+#: nested atoms: each comparison re-renders whole subtrees.)  First-come
+#: order is arbitrary but stable within a process, which is all
+#: canonicalization needs.  Entries are never evicted.  One lock guards
+#: registration and index assignment together: the service derives on
+#: several threads, and two threads registering the same structure must
+#: get one object with one index.
+_INTERN: Dict[_Atom, _Atom] = {}
+_INTERN_LOCK = threading.Lock()
+_INTERN_HITS = 0
+
+
+def _intern(atom: _Atom) -> _Atom:
+    """The canonical atom structurally equal to ``atom``."""
+    global _INTERN_HITS
+    if hasattr(atom, "_order"):  # only canonical atoms carry an index
+        return atom
+    with _INTERN_LOCK:
+        canonical = _INTERN.setdefault(atom, atom)
+        if canonical is atom:
+            object.__setattr__(atom, "_order", len(_INTERN) - 1)
+        else:
+            _INTERN_HITS += 1
+    return canonical
+
+
+def _interned(cls, *fields) -> _Atom:
+    """Unpickling hook: rebuild an atom and intern it."""
+    return _intern(cls(*fields))
+
+
+def intern_counters() -> Dict[str, int]:
+    """Size of the atom table and how many built atoms it deduplicated.
+
+    Both count over the process lifetime (pool workers keep their own).
+    """
+    return {
+        "sympoly.atoms_interned": len(_INTERN),
+        "sympoly.intern_hits": _INTERN_HITS,
+    }
 
 
 def _atom_order(atom: _Atom) -> int:
-    index = _ATOM_ORDER.get(atom)
-    if index is None:
-        index = len(_ATOM_ORDER)
-        _ATOM_ORDER[atom] = index
-    return index
+    try:
+        return atom._order
+    except AttributeError:
+        return _intern(atom)._order
 
 
 def _base_sort_key(base: _Base) -> Tuple:
@@ -408,7 +465,7 @@ class SymExpr:
 
     @staticmethod
     def _atom(atom: _Atom) -> "SymExpr":
-        return SymExpr({((atom, 1),): Fraction(1)})
+        return SymExpr({((_intern(atom), 1),): Fraction(1)})
 
     @staticmethod
     def _coerce(value) -> "SymExpr":
@@ -477,10 +534,8 @@ class SymExpr:
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other) -> "SymExpr":
-        other = SymExpr._coerce(other)
         terms = dict(self._terms)
-        for mono, coeff in other._terms:
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        _accumulate(terms, SymExpr._coerce(other))
         return SymExpr(terms)
 
     __radd__ = __add__
@@ -514,6 +569,10 @@ class SymExpr:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymExpr) and self._terms == other._terms
+
+    def __reduce__(self):
+        # Re-sort on load: term order follows process-local atom indices.
+        return (SymExpr, (dict(self._terms),))
 
     def __hash__(self) -> int:
         value = self._hashv
@@ -607,7 +666,7 @@ class SymExpr:
         if not self.depends_on(name):
             return self
         replacement = SymExpr._coerce(replacement)
-        total = SymExpr({})
+        terms: Dict[_Monomial, Fraction] = {}
         for mono, coeff in self._terms:
             term = SymExpr._const(coeff)
             for base, exp in mono:
@@ -617,8 +676,8 @@ class SymExpr:
                     factor = SymExpr._atom_subs(base, name, replacement)
                 for _ in range(exp):
                     term = term * factor
-            total = total + term
-        return total
+            _accumulate(terms, term)
+        return SymExpr(terms)
 
     @staticmethod
     def _atom_subs(atom: _Atom, name: str, replacement: "SymExpr") -> "SymExpr":
@@ -651,7 +710,7 @@ class SymExpr:
 
     def replace_atom(self, target: _Atom, replacement: "SymExpr") -> "SymExpr":
         """Replace every occurrence of ``target`` (even nested) by an expr."""
-        total = SymExpr({})
+        terms: Dict[_Monomial, Fraction] = {}
         for mono, coeff in self._terms:
             term = SymExpr._const(coeff)
             for base, exp in mono:
@@ -663,8 +722,8 @@ class SymExpr:
                     factor = SymExpr._atom_replace(base, target, replacement)
                 for _ in range(exp):
                     term = term * factor
-            total = total + term
-        return total
+            _accumulate(terms, term)
+        return SymExpr(terms)
 
     @staticmethod
     def _atom_replace(atom: _Atom, target: _Atom, replacement: "SymExpr") -> "SymExpr":
@@ -696,6 +755,16 @@ class SymExpr:
                 return SymExpr._atom(atom)
             return bounded_sum(var, bound, body)
         raise SymbolicUnsupported(f"cannot rewrite {atom!r}")
+
+
+def _accumulate(terms: Dict[_Monomial, Fraction], expr: SymExpr) -> None:
+    """Add the terms of ``expr`` into ``terms``.
+
+    Summing many expressions into one dict and building one
+    :class:`SymExpr` at the end sorts once instead of once per addition.
+    """
+    for mono, coeff in expr._terms:
+        terms[mono] = terms.get(mono, Fraction(0)) + coeff
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,23 @@ def global_metrics() -> Metrics:
     return _GLOBAL
 
 
+def with_process_counters(metrics: Metrics) -> Metrics:
+    """A copy of ``metrics`` plus this process's lifetime counters.
+
+    ``sympoly.atoms_interned`` (size of the never-evicted symbolic atom
+    table) and ``sympoly.intern_hits`` (built atoms it deduplicated) are
+    process state, not per-run deltas, so they are added where a profile
+    or ``/metricsz`` snapshot is rendered rather than recorded into a
+    sink that may be merged twice.
+    """
+    from repro.linalg.sympoly import intern_counters
+
+    merged = Metrics()
+    merged.merge(metrics)
+    merged.merge({"counters": intern_counters()})
+    return merged
+
+
 def reset_global_metrics() -> None:
     """Reset the process-wide default metrics sink."""
     global_metrics().reset()

@@ -35,6 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.runtime import Metrics, SimulationCache, set_shared_cache, shared_cache
+from repro.runtime.metrics import with_process_counters
 from repro.service.batching import MicroBatcher
 from repro.service.jobs import execute_batch
 from repro.service.protocol import (
@@ -390,7 +391,7 @@ class CompilationServer:
                     "rejected_total": self.admission.rejected_total,
                 },
             },
-            "metrics": self.metrics.to_dict(),
+            "metrics": with_process_counters(self.metrics).to_dict(),
             "cache": {
                 "memory_entries": len(self.cache),
                 "memory_max_entries": self.cache.max_entries,

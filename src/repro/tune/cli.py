@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Union
 
 from repro.bench.harness import format_table
-from repro.runtime.metrics import Metrics
+from repro.runtime.metrics import Metrics, with_process_counters
 from repro.tune.search import TuneCandidate, TuneResult
 
 #: How many pruned candidates the reports show verbatim.
@@ -261,7 +261,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     metrics = Metrics()
     print(run_tune(tune_payload(args), jobs=args.jobs, metrics=metrics))
     if args.profile:
-        print(metrics.report(), file=sys.stderr)
+        print(with_process_counters(metrics).report(), file=sys.stderr)
     return 0
 
 

@@ -76,6 +76,9 @@ class TestEndpoints:
         assert snapshot["service"]["queue"]["capacity"] == 32
         assert snapshot["service"]["queue"]["depth"] == 0
         assert snapshot["metrics"]["counters"]["service.requests"] >= 1
+        # Process-lifetime gauges of the symbolic atom table.
+        assert snapshot["metrics"]["counters"]["sympoly.atoms_interned"] >= 0
+        assert "sympoly.intern_hits" in snapshot["metrics"]["counters"]
         assert "timers" in snapshot["metrics"]
         assert "memory_entries" in snapshot["cache"]
 

@@ -9,8 +9,13 @@ the ``solve`` job, and regression tests for the satellite fixes
 validation, true-LRU disk eviction, HTTP-date ``Retry-After``).
 """
 
+import copy
 import json
 import os
+import pickle
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +25,10 @@ from repro.core import access_normalize
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.lang import parse_program
 from repro.linalg import Progression
+from repro.linalg import sympoly
 from repro.linalg.sympoly import (
+    Mod,
+    SymExpr,
     SymbolicUnsupported,
     bounded_sum,
     compile_account,
@@ -112,6 +120,168 @@ class TestSympoly:
                     assert values[name] == form.evaluate(full), (
                         name, P, proc,
                     )
+
+
+# ----------------------------------------------------------------------
+# hash-consed atoms: one object per structure, structural equality kept
+# ----------------------------------------------------------------------
+def _only_atom(expr):
+    (atom,) = list(expr.atoms())
+    return atom
+
+
+def _all_atoms(forms):
+    return [
+        atom for form in forms.values()
+        for atom in sympoly._deep_atoms(form, [])
+    ]
+
+
+def _nested_atoms(tag):
+    """The same nested mod/floordiv/pos/ge0/bounded_sum structures on
+    every call; ``tag`` keeps them apart from atoms other tests built."""
+    n, procs, q = sym(f"{tag}_n"), sym(f"{tag}_P"), sym(f"{tag}_q")
+    exprs = []
+    for k in range(1, 4):
+        inner = mod(n + k, procs)
+        mid = floordiv(inner + 3 * n, k + 1)
+        exprs.append(
+            bounded_sum(f"{tag}_q", procs, mod(q + mid + k, 3))
+            + pos(mid - n) * ge0(inner - k)
+        )
+    return exprs
+
+
+class TestAtomInterning:
+    def test_each_constructor_returns_one_object_per_structure(self):
+        n, procs = sym("intern_n"), sym("intern_P")
+        builders = [
+            lambda: mod(n + 1, 4),
+            lambda: mod(2 * n + 1, procs),
+            lambda: floordiv(n + 3, 4),
+            lambda: floordiv(n, procs),
+            lambda: pos(n - 2),
+            lambda: ge0(n - 5),
+            lambda: bounded_sum("intern_q", procs, mod(sym("intern_q") + n, 3)),
+        ]
+        for build in builders:
+            first, second = build(), build()
+            assert first == second
+            assert _only_atom(first) is _only_atom(second), first
+
+    def test_rederiving_a_node_reuses_every_atom(self):
+        # gemmB's forms hold no sums, whose binders come from a
+        # process-wide fresh-name counter and so differ per derivation.
+        node = gemm_variants(12)["gemmB"]
+        first, second = SymbolicEngine(node), SymbolicEngine(node)
+        assert first.forms == second.forms
+        atoms, again = _all_atoms(first.forms), _all_atoms(second.forms)
+        assert atoms and len(atoms) == len(again)
+        assert all(a is b for a, b in zip(atoms, again))
+
+    def test_raw_copy_and_pickle_compare_equal_to_the_canonical_form(self):
+        canonical = mod(sym("N") * 2 + 1, 4)
+        raw = Mod(sym("N") * 2 + 1, 4)  # bypasses the constructor
+        assert raw is not _only_atom(canonical)
+        assert raw == _only_atom(canonical) and _only_atom(canonical) == raw
+        assert hash(raw) == hash(_only_atom(canonical))
+        # A form holding the raw atom, not built through SymExpr._atom.
+        unshared = SymExpr({((raw, 1),): Fraction(1)})
+        assert unshared == canonical and hash(unshared) == hash(canonical)
+        assert SymExpr._atom(raw) == canonical
+        assert _only_atom(SymExpr._atom(raw)) is _only_atom(canonical)
+
+        node = syr2k_variants(16, 3)["syr2kB"]
+        engine = SymbolicEngine(node)
+        env = node.program.bound_params(None)
+        for field, form in engine.forms.items():
+            for clone in (copy.deepcopy(form), pickle.loads(pickle.dumps(form))):
+                assert clone == form and hash(clone) == hash(form), field
+                assert repr(clone) == repr(form)
+                for procs, proc in ((1, 0), (3, 2), (4, 1)):
+                    point = dict(env)
+                    point[engine.procs_name] = procs
+                    point[engine.proc_name] = proc
+                    assert clone.evaluate(point) == form.evaluate(point)
+        for unshared_clone in (copy.deepcopy(raw), pickle.loads(pickle.dumps(raw))):
+            assert unshared_clone is _only_atom(canonical)
+
+    @staticmethod
+    def _race(build, threads=8):
+        """``build()`` on ``threads`` threads released together."""
+        results, errors = [None] * threads, []
+        start = threading.Barrier(threads)
+
+        def worker(slot):
+            try:
+                start.wait(timeout=60)
+                results[slot] = build()
+            except Exception as error:  # surfaced by the main thread
+                errors.append(error)
+
+        workers = [
+            threading.Thread(target=worker, args=(slot,))
+            for slot in range(threads)
+        ]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in workers)
+        assert not errors, errors
+        return results
+
+    def test_concurrent_interning_yields_one_object_and_serial_terms(self):
+        node = generate_spmd(
+            access_normalize(
+                parse_program(_example_source("gemm.an"), name="gemm.an")
+            ).transformed
+        )
+        tags = [f"race{round_}" for round_ in range(25)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # Fresh structures each round: the race is on first sight.
+            raced = [self._race(lambda: SymbolicEngine(node).forms)] + [
+                self._race(lambda tag=tag: _nested_atoms(tag)) for tag in tags
+            ]
+        finally:
+            sys.setswitchinterval(previous)
+        serial = [SymbolicEngine(node).forms] + [
+            dict(enumerate(_nested_atoms(tag))) for tag in tags
+        ]
+        for results, expected in zip(raced, serial):
+            expected_atoms = _all_atoms(expected)
+            for result in results:
+                forms = result if isinstance(result, dict) else dict(enumerate(result))
+                atoms = _all_atoms(forms)
+                assert len(atoms) == len(expected_atoms)
+                assert all(a is b for a, b in zip(atoms, expected_atoms))
+                assert {k: e._terms for k, e in forms.items()} == {
+                    k: e._terms for k, e in expected.items()
+                }
+        orders = [atom._order for atom in sympoly._INTERN.values()]
+        assert len(set(orders)) == len(orders)
+
+    def test_intern_counters_reach_profile_and_metricsz(self, capsys):
+        from repro.cli import main
+        from repro.runtime.metrics import Metrics, with_process_counters
+
+        mod(sym("counted_n") + 1, 7)
+        mod(sym("counted_n") + 1, 7)
+        counters = sympoly.intern_counters()
+        assert counters["sympoly.atoms_interned"] == len(sympoly._INTERN)
+        assert counters["sympoly.intern_hits"] >= 1
+        metrics = Metrics()
+        metrics.count("cells", 2)
+        merged = with_process_counters(metrics).to_dict()["counters"]
+        assert merged["cells"] == 2
+        assert merged["sympoly.atoms_interned"] >= counters["sympoly.atoms_interned"]
+        assert "sympoly.intern_hits" in with_process_counters(metrics).report()
+        assert metrics.to_dict()["counters"] == {"cells": 2}
+        gemm = os.path.join(EXAMPLES, "gemm.an")
+        assert main(["simulate", gemm, "-P", "1,2", "--profile"]) == 0
+        assert "sympoly.atoms_interned" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
