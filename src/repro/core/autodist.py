@@ -14,16 +14,12 @@ transfers *and* load balance at once, addressing the paper's concern).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
-from repro.codegen.spmd import generate_spmd
-from repro.core.normalize import access_normalize
-from repro.distributions import Blocked, Distribution, Wrapped
+from repro.distributions import Distribution
 from repro.errors import ReproError
 from repro.ir.program import Program
 from repro.numa.machine import MachineConfig, butterfly_gp1000
-from repro.numa.simulator import simulate
 from repro.runtime.cache import SimulationCache
 from repro.runtime.metrics import Metrics
 
@@ -55,60 +51,6 @@ class AutoDistResult:
     @property
     def best(self) -> Candidate:
         return self.ranking[0]
-
-
-def _array_options(rank: int, allow_replicated: bool) -> List[Optional[Distribution]]:
-    options: List[Optional[Distribution]] = []
-    for dim in range(rank):
-        options.append(Wrapped(dim))
-        options.append(Blocked(dim))
-    if allow_replicated:
-        options.append(None)
-    return options
-
-
-def candidate_assignments(
-    program: Program, *, allow_replicated: bool = False
-) -> Iterator[Dict[str, Optional[Distribution]]]:
-    """All combinations of per-dimension wrapped/blocked per array."""
-    names = [decl.name for decl in program.arrays]
-    option_lists = [
-        _array_options(program.array(name).rank, allow_replicated)
-        for name in names
-    ]
-    for combo in product(*option_lists):
-        yield dict(zip(names, combo))
-
-
-def evaluate_assignment(
-    program: Program,
-    assignment: Mapping[str, Optional[Distribution]],
-    *,
-    processors: int,
-    machine: MachineConfig,
-    params: Optional[Mapping[str, int]] = None,
-) -> Candidate:
-    """Simulated makespan of the program under one distribution choice."""
-    distributions = {
-        name: distribution
-        for name, distribution in assignment.items()
-        if distribution is not None
-    }
-    trial = Program(
-        nest=program.nest,
-        arrays=program.arrays,
-        distributions=distributions,
-        params=program.bound_params(params),
-        name=program.name,
-    )
-    result = access_normalize(trial)
-    node = generate_spmd(result.transformed)
-    outcome = simulate(node, processors=processors, machine=machine)
-    return Candidate(
-        distributions=dict(assignment),
-        time_us=outcome.total_time_us,
-        transformation_labels=tuple(result.labels),
-    )
 
 
 def search_distributions(

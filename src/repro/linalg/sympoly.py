@@ -62,7 +62,6 @@ __all__ = [
     "fresh_name",
     "planned_cost",
     "sym_sum",
-    "sum_budget",
 ]
 
 
@@ -1228,37 +1227,8 @@ def _domain_simplify(expr: SymExpr, var: str) -> SymExpr:
     return expr
 
 
-_SUM_TERM_LIMIT = 4000
-
-#: Remaining :func:`sym_sum` invocations allowed under :func:`sum_budget`
-#: (``None`` = unlimited).  Nested bounds (``smax``/``smin`` chains) make
-#: range splitting exponential in the number of arms; a budget turns a
-#: multi-minute grind into a fast, catchable failure.
-_SUM_BUDGET: List[Optional[int]] = [None]
-
-
-class sum_budget:
-    """Context manager capping the total ``sym_sum`` work inside.
-
-    Each call charges ``1 + term_count`` of the expression being summed,
-    so the budget tracks actual polynomial size, not call count.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.previous: Optional[int] = None
-
-    def __enter__(self) -> "sum_budget":
-        self.previous = _SUM_BUDGET[0]
-        _SUM_BUDGET[0] = self.limit
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _SUM_BUDGET[0] = self.previous
-
-
 def sym_sum(
-    expr: SymExpr, var: str, trips: SymExpr,
+    expr: SymExpr, var: str, trips: SymExpr, budget: List[int],
     positive: frozenset = frozenset(),
 ) -> SymExpr:
     """Exact ``sum(expr for var in [0, max(0, trips)))``, symbolically.
@@ -1267,6 +1237,13 @@ def sym_sum(
     assumed >= 1 (the processor count), which lets range splits handle
     strides proportional to them.  Raises :class:`SymbolicUnsupported`
     outside the summable fragment.
+
+    ``budget`` is a one-slot list holding the work still allowed; every
+    call, recursive splits included, charges ``1 + term_count`` of the
+    expression it sums, and raises :class:`SymbolicUnsupported` once the
+    budget cannot cover it.  Nested bounds (``smax``/``smin`` chains)
+    make range splitting exponential in the number of arms, so the
+    budget turns a multi-minute grind into a fast, catchable failure.
     """
     if not expr.depends_on(var):
         return expr * pos(trips)
@@ -1275,21 +1252,17 @@ def sym_sum(
         expr = simplified
         if not expr.depends_on(var):
             return expr * pos(trips)
-    if expr.term_count() > _SUM_TERM_LIMIT:
-        raise SymbolicUnsupported("symbolic form grew too large")
-    budget = _SUM_BUDGET[0]
-    if budget is not None:
-        cost = 1 + expr.term_count()
-        if budget < cost:
-            raise SymbolicUnsupported("symbolic summation budget exhausted")
-        _SUM_BUDGET[0] = budget - cost
+    cost = 1 + expr.term_count()
+    if budget[0] < cost:
+        raise SymbolicUnsupported("symbolic summation budget exhausted")
+    budget[0] -= cost
 
     obstructions = _atom_obstructions(expr, var)
 
     # 1. Exchange summation with var-dependent inner sums.
     for atom, _inner in obstructions:
         if isinstance(atom, BoundedSum):
-            return _swap_bounded_sum(expr, var, trips, atom, positive)
+            return _swap_bounded_sum(expr, var, trips, atom, budget, positive)
 
     # 2. Residue-split Mod/FloorDiv atoms whose arg is polynomial in var.
     # Prefer a symbolic modulus (the processor count): one split then
@@ -1306,7 +1279,9 @@ def sym_sum(
             if not isinstance(residue_modulus, int):
                 break
     if residue_modulus is not None:
-        return _residue_split(expr, var, trips, residue_modulus, positive)
+        return _residue_split(
+            expr, var, trips, residue_modulus, budget, positive
+        )
 
     # 3. Range-split Pos/Ge0 atoms with an affine, known-sign-slope
     # argument.  Indicators first: their split replaces the atom with a
@@ -1322,7 +1297,9 @@ def sym_sum(
                     # resolves it from the inside out.
                     blocked_split = atom
                     continue
-                return _pos_split(expr, var, trips, atom, affine, positive)
+                return _pos_split(
+                    expr, var, trips, atom, affine, budget, positive
+                )
     if blocked_split is not None:
         raise SymbolicUnsupported(
             f"cannot split non-affine positive part {blocked_split!r}"
@@ -1346,7 +1323,7 @@ def sym_sum(
 
 def _swap_bounded_sum(
     expr: SymExpr, var: str, trips: SymExpr, atom: BoundedSum,
-    positive: frozenset,
+    budget: List[int], positive: frozenset,
 ) -> SymExpr:
     """``sum_var (c * B * rest) = c * BoundedSum(r, b, sum_var(body*rest))``.
 
@@ -1371,7 +1348,7 @@ def _swap_bounded_sum(
             f"inner sum nested inside another atom: {atom!r}"
         )
     rest_sum = (
-        sym_sum(SymExpr(without), var, trips, positive)
+        sym_sum(SymExpr(without), var, trips, budget, positive)
         if without else SymExpr({})
     )
 
@@ -1401,13 +1378,14 @@ def _swap_bounded_sum(
                 inside = inside * piece
             else:
                 outside = outside * piece
-        summed = sym_sum(inside, var, trips, positive)
+        summed = sym_sum(inside, var, trips, budget, positive)
         total = total + outside * bounded_sum(fresh, atom.bound, summed)
     return total
 
 
 def _residue_split(
-    expr: SymExpr, var: str, trips: SymExpr, modulus, positive: frozenset
+    expr: SymExpr, var: str, trips: SymExpr, modulus, budget: List[int],
+    positive: frozenset,
 ) -> SymExpr:
     """``sum_{q<T} f(q) = sum_{r<M} sum_{t<T_r} f(r + M*t)``."""
     t_var = fresh_name()
@@ -1418,7 +1396,7 @@ def _residue_split(
         modulus_expr = modulus
     substituted = expr.subs(var, sym(r_var) + modulus_expr * sym(t_var))
     inner_trips = pos(floordiv(trips - 1 - sym(r_var), modulus) + 1)
-    inner = sym_sum(substituted, t_var, inner_trips, positive)
+    inner = sym_sum(substituted, t_var, inner_trips, budget, positive)
     return bounded_sum(r_var, modulus_expr, inner)
 
 
@@ -1428,6 +1406,7 @@ def _pos_split(
     trips: SymExpr,
     atom: _Atom,
     affine: Tuple[SymExpr, SymExpr],
+    budget: List[int],
     positive: frozenset,
 ) -> SymExpr:
     """Split ``[0, trips)`` at the sign change of an affine Pos/Ge0 arg."""
@@ -1459,7 +1438,9 @@ def _pos_split(
         (SymExpr({}), active) if zero_first else (active, SymExpr({}))
     )
 
-    low_part = sym_sum(expr.replace_atom(atom, low_value), var, z, positive)
+    low_part = sym_sum(
+        expr.replace_atom(atom, low_value), var, z, budget, positive
+    )
     # The upper piece is a difference of formal prefix sums: derive
     # sum_{var in [0, u)} once with a symbolic limit u, then evaluate at
     # both endpoints.  (Substituting var := z + t instead would thread
@@ -1467,7 +1448,8 @@ def _pos_split(
     # form up combinatorially.)
     u_var = fresh_name()
     formal = sym_sum(
-        expr.replace_atom(atom, high_value), var, sym(u_var), positive
+        expr.replace_atom(atom, high_value), var, sym(u_var), budget,
+        positive,
     )
     high_part = formal.subs(u_var, clamped) - formal.subs(u_var, z)
     return low_part + high_part

@@ -788,33 +788,6 @@ ENGINES = ("auto", "symbolic", "closed-form", "compiled", "walk")
 #: the ceiling.
 SYMBOLIC_COST_CEILING = 120_000
 
-#: Structural budget for :func:`_symbolic_unpromising`: total *excess*
-#: ``max``/``min`` bound arms across the nest (arms beyond the first
-#: per bound).  Each excess arm can double the range-split work inside
-#: :func:`~repro.linalg.sympoly.sym_sum`, so past a handful the
-#: derivation mostly burns its budget and falls back to loops anyway.
-SYMBOLIC_MAX_EXTRA_ARMS = 8
-
-
-def _symbolic_unpromising(node: NodeProgram) -> bool:
-    """Cheap structural predictor that symbolic derivation will not pay.
-
-    Multi-armed ``max``/``min`` loop bounds (skewed/banded nests) make
-    symbolic range splitting exponential in the number of arms.  A
-    *few* arms are now worth deriving — residual ``BoundedSum`` levels
-    compile to fused loops with residue-class run plans, which is how
-    the banded SYR2K shapes win — so ``auto`` only skips the (cached
-    but non-trivial) derivation when the total excess-arm count says
-    the derivation itself would blow its budget.  Forced
-    ``engine="symbolic"`` always derives.
-    """
-    excess = sum(
-        (len(loop.lower) - 1) + (len(loop.upper) - 1)
-        for loop in node.nest.loops
-    )
-    return excess > SYMBOLIC_MAX_EXTRA_ARMS
-
-
 def _cached_form(node: NodeProgram):
     """The tier-0 symbolic engine for ``node``, derived at most once.
 
@@ -956,10 +929,7 @@ def simulate(
                 f"{engine} engine does not model the block cache; "
                 "use the compiled or walk engine"
             )
-        if not block_cache and (
-            engine == "symbolic"
-            or (engine == "auto" and not _symbolic_unpromising(node))
-        ):
+        if not block_cache and engine in ("auto", "symbolic"):
             status, payload = _cached_form(node)
             if status == "ok":
                 keep = engine == "symbolic" or (

@@ -50,7 +50,6 @@ from repro.linalg.sympoly import (
     pos,
     smax,
     smin,
-    sum_budget,
     sym,
     sym_sum,
 )
@@ -67,12 +66,14 @@ __all__ = ["SymbolicEngine", "SymbolicUnsupported", "FIELDS", "FORM_SCHEMA"]
 #: whenever the derived forms or their compiled evaluators change shape.
 FORM_SCHEMA = 2
 
-#: ``sym_sum`` invocations allowed per level elimination before falling
-#: back to an explicit loop.  Multi-armed ``smax``/``smin`` bounds (e.g.
-#: SYR2K's skewed band) make range splitting exponential; past the budget
-#: the level is kept as a :class:`~repro.linalg.sympoly.BoundedSum`, which
-#: the compiled form runs as a real loop — O(extent) for that level
-#: instead of O(1), still exact and still derive-once per program.
+#: ``sym_sum`` work (``1 + term_count`` per call, recursive splits
+#: included) allowed per level elimination before falling back to an
+#: explicit loop — the one limit on derivation.  Multi-armed
+#: ``smax``/``smin`` bounds (e.g. SYR2K's skewed band) make range
+#: splitting exponential; past the budget the level is kept as a
+#: :class:`~repro.linalg.sympoly.BoundedSum`, which the compiled form
+#: runs as a real loop — O(extent) for that level instead of O(1), still
+#: exact and still derive-once per program.
 _LEVEL_SUM_BUDGET = 600
 
 #: A closed form replacing a loop only pays off while it is cheaper to
@@ -80,11 +81,9 @@ _LEVEL_SUM_BUDGET = 600
 #: :func:`~repro.linalg.sympoly.eval_cost` under a nominal machine size —
 #: ``P`` processors, ``_NOMINAL_EXTENT`` iterations for any bound the
 #: nominal environment cannot settle (program parameters stay symbolic
-#: here) — plus an absolute term cap as a backstop against forms that
-#: are cheap at the nominal point but balloon elsewhere.
+#: here).
 _NOMINAL_PROCS = 32
 _NOMINAL_EXTENT = 64
-_LEVEL_RESULT_LIMIT = 6000
 
 #: The AccessCounts fields, in declaration order.
 FIELDS = (
@@ -234,11 +233,8 @@ class SymbolicEngine:
         of raw term counts.
         """
         try:
-            with sum_budget(_LEVEL_SUM_BUDGET):
-                result = sym_sum(body, var, trips, positive)
+            result = sym_sum(body, var, trips, [_LEVEL_SUM_BUDGET], positive)
         except SymbolicUnsupported:
-            return bounded_sum(var, trips, body)
-        if result.term_count() > _LEVEL_RESULT_LIMIT:
             return bounded_sum(var, trips, body)
         loop_cost = max(0, self._hint(trips)) * (
             1 + eval_cost(body, self._hint)

@@ -136,6 +136,21 @@ def _parse_bindings(pairs) -> Optional[Dict[str, int]]:
     return params
 
 
+def _payload_params(
+    payload: Mapping[str, object],
+) -> Optional[Dict[str, int]]:
+    """A payload's ``params`` object as ``{name: int}`` (``None`` if absent)."""
+    raw = payload.get("params") or None
+    if raw is None:
+        return None
+    if isinstance(raw, Mapping):
+        try:
+            return {str(k): int(v) for k, v in raw.items()}  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            pass
+    raise ReproError("'params' must be an object of integer bindings")
+
+
 def tune_payload(args) -> Dict[str, object]:
     """The ``tune`` payload for parsed ``repro tune`` args."""
     return {
@@ -434,17 +449,7 @@ def run_solve(
     program = _parse_source(payload, metrics)
     result = _normalize(payload, program, metrics)
     machine = machine_from_payload(payload)
-    raw_params = payload.get("params") or None
-    params = None
-    if raw_params is not None:
-        if not isinstance(raw_params, Mapping):
-            raise ReproError("'params' must be an object of integer bindings")
-        try:
-            params = {str(k): int(v) for k, v in raw_params.items()}  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise ReproError(
-                "'params' must be an object of integer bindings"
-            )
+    params = _payload_params(payload)
     try:
         low = int(payload.get("min_processors", 1))  # type: ignore[arg-type]
         high = int(payload.get("max_processors", 64))  # type: ignore[arg-type]
@@ -570,15 +575,7 @@ def run_tune(
     machine = machine_from_payload(payload)
     procs = _normalize_processors(payload.get("processors") or [4, 16])
 
-    raw_params = payload.get("params") or None
-    params = None
-    if raw_params is not None:
-        if not isinstance(raw_params, Mapping):
-            raise ReproError("'params' must be an object of integer bindings")
-        try:
-            params = {str(k): int(v) for k, v in raw_params.items()}  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise ReproError("'params' must be an object of integer bindings")
+    params = _payload_params(payload)
 
     raw_budget = payload.get("budget", 400)
     budget: Optional[int]
@@ -672,17 +669,7 @@ def build_simulation_cell(
                 schedule=schedule,
                 block_transfers=(variant == "normalized+bt"),
             )
-    raw_params = payload.get("params") or None
-    params = None
-    if raw_params is not None:
-        if not isinstance(raw_params, Mapping):
-            raise ReproError("'params' must be an object of integer bindings")
-        try:
-            params = {str(k): int(v) for k, v in raw_params.items()}  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise ReproError(
-                "'params' must be an object of integer bindings"
-            )
+    params = _payload_params(payload)
     return SweepCell(
         name=f"{program.name}@{variant}",
         node=node,

@@ -18,10 +18,12 @@ close`` per request).  Endpoints:
   the symbolic per-program forms (byte-identical to ``repro solve``).
 
 Success responses are ``{"ok": true, "op": ..., "result": ...,
-"exit_code": ..., "elapsed_ms": ...}``; failures are ``{"ok": false,
-"error": {"code": ..., "message": ...}}`` with the HTTP status from
-:data:`ERROR_STATUS`.  A full request queue answers 429 with a
-``Retry-After`` header; a draining server answers 503.
+"exit_code": ...}``; failures are ``{"ok": false, "error": {"code": ...,
+"message": ...}}`` with the HTTP status from :data:`ERROR_STATUS`.
+Bodies carry no timing, so identical requests get byte-identical
+bodies; an op's execution time is sent in the ``X-Repro-Elapsed-Ms``
+header (and recorded in the request log).  A full request queue answers
+429 with a ``Retry-After`` header; a draining server answers 503.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.errors import ReproError
 
 #: Protocol revision served in ``/healthz`` and checked by nothing yet —
 #: bump on incompatible changes so clients can detect drift.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: The ops accepted under ``POST /v1/<op>``.
 OPS = ("compile", "analyze", "simulate", "sweep", "solve", "tune")

@@ -525,9 +525,10 @@ class FleetRouter:
                 ),
                 "X-Repro-Replica": addr,
             }
-            retry_after = headers.get("retry-after")
-            if retry_after:
-                out_headers["Retry-After"] = retry_after
+            for name in ("Retry-After", "X-Repro-Elapsed-Ms"):
+                value = headers.get(name.lower())
+                if value:
+                    out_headers[name] = value
             return status, out_headers, payload
         if last_503 is not None:
             status, headers, payload = last_503

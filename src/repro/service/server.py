@@ -311,15 +311,19 @@ class CompilationServer:
             return 500, error_payload("internal", str(error)), {}
         finally:
             self.admission.release()
-        elapsed_ms = round((time.perf_counter() - started) * 1e3, 3)
+        # Timing travels in a header, never in the body: identical
+        # requests get byte-identical bodies however long each waited.
+        timing = {
+            "X-Repro-Elapsed-Ms":
+                f"{(time.perf_counter() - started) * 1e3:.3f}",
+        }
         if outcome.get("ok"):
             return 200, {
                 "ok": True,
                 "op": op,
                 "result": outcome.get("result", {}),
                 "exit_code": outcome.get("exit_code", 0),
-                "elapsed_ms": elapsed_ms,
-            }, {}
+            }, timing
         error_info = outcome.get("error") or {}
         code = str(error_info.get("code", "internal"))  # type: ignore[union-attr]
         self.metrics.count("service.errors")
@@ -328,8 +332,7 @@ class CompilationServer:
             "op": op,
             "error": error_info,
             "exit_code": outcome.get("exit_code", 1),
-            "elapsed_ms": elapsed_ms,
-        }, {}
+        }, timing
 
     def _request_timeout(self, payload: Mapping[str, object]) -> float:
         """Per-request timeout: ``timeout_s`` in the payload, capped by

@@ -148,8 +148,8 @@ def array_options(
 ) -> List[Optional[Distribution]]:
     """Distribution choices for one array, in enumeration order.
 
-    The wrapped/blocked prefix matches ``core.autodist`` exactly so the
-    classic search is a strict prefix of the tuner's.
+    The wrapped/blocked prefix is the classic ``core.autodist`` menu, so
+    that search is a strict prefix of the tuner's.
     """
     options: List[Optional[Distribution]] = []
     for dim in range(rank):

@@ -3,14 +3,11 @@
 import pytest
 
 from repro.cli import main
-from repro.core.autodist import (
-    candidate_assignments,
-    evaluate_assignment,
-    search_distributions,
-)
+from repro.core.autodist import search_distributions
 from repro.blas import gemm_program
-from repro.distributions import Wrapped
+from repro.distributions import Blocked, Wrapped
 from repro.numa import butterfly_gp1000
+from repro.tune.space import SearchSpace, candidate_assignments
 
 
 @pytest.fixture
@@ -105,25 +102,34 @@ class TestCLIAutodist:
         assert "candidates evaluated" in out
 
 
+def _all_columns(outcome, kind):
+    """The ranking entry distributing every array as ``kind(1)``."""
+    return next(
+        c for c in outcome.ranking
+        if all(
+            type(d) is kind and d.dim == 1 for d in c.distributions.values()
+        )
+    )
+
+
 class TestAutodistSearch:
     def test_candidate_enumeration(self):
         program = gemm_program(8)
-        candidates = list(candidate_assignments(program))
+        candidates = list(
+            candidate_assignments(program, SearchSpace(block_sizes=()))
+        )
         # Three 2-D arrays, each with 4 options (wrapped/blocked x 2 dims).
         assert len(candidates) == 4 ** 3
         with_replicated = list(
-            candidate_assignments(program, allow_replicated=True)
+            candidate_assignments(
+                program, SearchSpace(block_sizes=(), allow_replicated=True)
+            )
         )
         assert len(with_replicated) == 5 ** 3
 
     def test_evaluate_assignment(self):
-        program = gemm_program(8)
-        candidate = evaluate_assignment(
-            program,
-            {"A": Wrapped(1), "B": Wrapped(1), "C": Wrapped(1)},
-            processors=4,
-            machine=butterfly_gp1000(),
-        )
+        outcome = search_distributions(gemm_program(12), processors=4)
+        candidate = _all_columns(outcome, Wrapped)
         assert candidate.time_us > 0
         assert "wrapped column" in candidate.describe()
 
@@ -156,20 +162,7 @@ class TestAutodistSearch:
     def test_wrapped_beats_all_blocked_for_gemm(self):
         # Blocked columns misalign with the wrapped outer schedule, so the
         # all-wrapped assignments must come out ahead.
-        from repro.distributions import Blocked
-
-        program = gemm_program(12)
-        machine = butterfly_gp1000()
-        wrapped = evaluate_assignment(
-            program,
-            {"A": Wrapped(1), "B": Wrapped(1), "C": Wrapped(1)},
-            processors=4,
-            machine=machine,
-        )
-        blocked = evaluate_assignment(
-            program,
-            {"A": Blocked(1), "B": Blocked(1), "C": Blocked(1)},
-            processors=4,
-            machine=machine,
-        )
+        outcome = search_distributions(gemm_program(12), processors=4)
+        wrapped = _all_columns(outcome, Wrapped)
+        blocked = _all_columns(outcome, Blocked)
         assert wrapped.time_us <= blocked.time_us

@@ -132,16 +132,17 @@ class TestDiophantineExtras:
 
 class TestAutodistReplicated:
     def test_allow_replicated_includes_none(self):
-        from repro.core.autodist import evaluate_assignment
+        from repro.core.autodist import search_distributions
         from repro.blas import gemm_program
-        from repro.numa import butterfly_gp1000
 
-        program = gemm_program(6)
-        candidate = evaluate_assignment(
-            program,
-            {"A": None, "B": None, "C": Wrapped(1)},
-            processors=2,
-            machine=butterfly_gp1000(),
+        outcome = search_distributions(
+            gemm_program(6), processors=2, allow_replicated=True
+        )
+        candidate = next(
+            c for c in outcome.ranking
+            if c.distributions["A"] is None and c.distributions["B"] is None
+            and isinstance(c.distributions["C"], Wrapped)
+            and c.distributions["C"].dim == 1
         )
         assert "replicated" in candidate.describe()
         assert candidate.time_us > 0

@@ -212,16 +212,39 @@ class TestFleetRouting:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=120)
+        assert len(results) == 6
         assert len({payload for _, _, payload in results}) == 1
         assert all(status == 200 for status, _, _ in results)
         client = ServiceClient("127.0.0.1", router.port, timeout=60.0)
         snapshot = client.metrics()
         router_counters = snapshot["router"]["metrics"]["counters"]
         fleet_counters = snapshot["metrics"]["counters"]
-        # One execution fleet-wide; every other waiter joined in flight.
+        # One execution fleet-wide.  Every other request either joined
+        # it in flight or, arriving after it finished, was served from
+        # the cache; bodies carry no timing, so all six are identical.
         assert fleet_counters["simulate_calls"] == 1
-        assert router_counters["router.dedup_inflight"] == 5
+        assert (
+            router_counters.get("router.dedup_inflight", 0)
+            + fleet_counters.get("cache_hits", 0)
+        ) == 5
+
+    def test_router_forwards_the_timing_header(self, fleet):
+        router, _ = fleet
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", router.port, timeout=60
+        )
+        connection.request(
+            "POST", "/v1/simulate",
+            json.dumps({"source": GEMM_SOURCE, "processors": 2}).encode(),
+            {"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        document = json.loads(response.read())
+        connection.close()
+        assert response.status == 200
+        assert float(response.getheader("X-Repro-Elapsed-Ms")) >= 0
+        assert "elapsed_ms" not in document
 
     def test_unfingerprintable_falls_back_to_round_robin(self, fleet):
         router, _ = fleet

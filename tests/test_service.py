@@ -67,7 +67,7 @@ class TestEndpoints:
     def test_healthz(self, client):
         health = client.health()
         assert health["status"] == "ok"
-        assert health["version"] == 1
+        assert health["version"] == 2
         assert health["uptime_s"] >= 0.0
 
     def test_metricsz_shape(self, client):
@@ -126,6 +126,24 @@ class TestEndpoints:
         with pytest.raises(ServiceError) as excinfo:
             client._roundtrip("POST", "/v1/transmogrify", {})
         assert excinfo.value.status == 404
+
+    def test_timing_travels_in_a_header_not_the_body(self, server):
+        import http.client
+
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=30
+        )
+        connection.request(
+            "POST", "/v1/simulate",
+            body=json.dumps({"source": GEMM_SOURCE, "processors": 2}),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        document = json.loads(response.read())
+        connection.close()
+        assert response.status == 200
+        assert float(response.getheader("X-Repro-Elapsed-Ms")) >= 0
+        assert sorted(document) == ["exit_code", "ok", "op", "result"]
 
     def test_bad_json_body_is_400(self, server):
         import http.client

@@ -39,16 +39,20 @@ from repro.linalg.sympoly import (
     ge0,
     mod,
     pos,
-    sum_budget,
     sym,
     sym_sum,
 )
 from repro.numa import simulate
-from repro.numa.simulator import _symbolic_unpromising
 from repro.numa.symbolic import FIELDS, SymbolicEngine
 from repro.runtime.cache import SimulationCache, set_shared_cache, shared_cache
 from repro.service.client import _parse_retry_after
-from repro.service.jobs import _parse_bindings, _parse_candidate, run_solve
+from repro.service.jobs import (
+    _parse_bindings,
+    _parse_candidate,
+    build_simulation_cell,
+    run_solve,
+    run_tune,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES = os.path.join(REPO_ROOT, "examples", "programs")
@@ -78,16 +82,48 @@ class TestSympoly:
 
     def test_sym_sum_matches_bruteforce(self):
         body = const(2) + 3 * sym("t")
-        closed = sym_sum(body, "t", sym("n"))
+        closed = sym_sum(body, "t", sym("n"), budget=[600])
         assert not closed.depends_on("t")
         for n in (-4, 0, 1, 2, 9, 23):
             expected = sum(2 + 3 * t for t in range(max(0, n)))
             assert closed.evaluate({"n": n}) == expected
 
     def test_sym_sum_respects_budget(self):
-        with sum_budget(0):
-            with pytest.raises(SymbolicUnsupported):
-                sym_sum(sym("t"), "t", sym("n"))
+        with pytest.raises(SymbolicUnsupported):
+            sym_sum(sym("t"), "t", sym("n"), budget=[0])
+
+    def test_sym_sum_budget_is_per_call(self):
+        # Two derivations on two threads at once: each is charged only
+        # against its own budget, so an exhausted one never starves the
+        # other.
+        barrier = threading.Barrier(2, timeout=10)
+        budgets = {"empty": [0], "full": [600]}
+        outcomes = {}
+
+        def run(label):
+            barrier.wait()
+            try:
+                outcomes[label] = sym_sum(
+                    sym("t"), "t", sym("n"), budget=budgets[label]
+                )
+            except SymbolicUnsupported as error:
+                outcomes[label] = error
+
+        threads = [
+            threading.Thread(target=run, args=(label,)) for label in budgets
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert isinstance(outcomes["empty"], SymbolicUnsupported)
+        closed = outcomes["full"]
+        assert isinstance(closed, SymExpr)
+        for n in (-2, 0, 1, 7):
+            assert closed.evaluate({"n": n}) == sum(range(max(0, n)))
+        # ``t`` is one term: the successful call charged 1 + 1.
+        assert budgets == {"empty": [0], "full": [598]}
 
     def test_bounded_sum_evaluates_as_loop(self):
         squares = bounded_sum("t", sym("n"), sym("t") * sym("t"))
@@ -486,17 +522,10 @@ for i = 0, N-1
         for reference, tiered in zip(walk.per_proc, auto.per_proc):
             assert tiered.counts == reference.counts
 
-    def test_structural_prefilter_separates_paper_kernels(self):
-        # Every paper kernel is promising now: rectangular GEMM bounds
-        # trivially, and the banded SYR2K nests because residue-class
-        # specialized evaluators made their multi-armed max/min bounds
-        # cheap (5 extra arms, well under the budget).  Only a nest
-        # whose arm count explodes the derivation's case split past
-        # SYMBOLIC_MAX_EXTRA_ARMS is filtered out before deriving.
-        for node in gemm_variants(8).values():
-            assert not _symbolic_unpromising(node)
-        for node in syr2k_variants(12, 2).values():
-            assert not _symbolic_unpromising(node)
+    def test_auto_derives_many_armed_bounds(self):
+        # The level budget alone bounds derivation: a nest with many
+        # max/min bound arms derives quickly (the arms that overrun a
+        # level's budget stay loops), and auto serves it from tier 0.
         source = """
 program armstorm
 param N = 32
@@ -510,7 +539,12 @@ for i = 0, N-1
 """
         program = parse_program(source, name="armstorm")
         node = generate_spmd(program, block_transfers=False)
-        assert _symbolic_unpromising(node)
+        for processors in (1, 3, 8):
+            auto = simulate(node, processors=processors)
+            walk = simulate(node, processors=processors, engine="walk")
+            assert auto.engine == "symbolic"
+            for reference, tiered in zip(walk.per_proc, auto.per_proc):
+                assert tiered.counts == reference.counts
 
     def test_estimate_cost_positive_and_param_sensitive(self):
         node = syr2k_variants(40, 6)["syr2k"]
@@ -588,8 +622,15 @@ class TestSolve:
             run_solve(self._payload(min_processors=5, max_processors=2))
         with pytest.raises(ReproError, match="solve cap"):
             run_solve(self._payload(max_processors=1 << 20))
-        with pytest.raises(ReproError, match="integer bindings"):
-            run_solve(self._payload(params={"N": "twelve"}))
+
+    @pytest.mark.parametrize(
+        "entry", [run_solve, run_tune, build_simulation_cell]
+    )
+    @pytest.mark.parametrize("params", [{"N": "twelve"}, {"N": None}, [12]])
+    def test_params_must_be_integer_bindings(self, entry, params):
+        # solve, tune and simulate share one parameter-binding parser.
+        with pytest.raises(ReproError, match="object of integer bindings"):
+            entry(self._payload(params=params))
 
     def test_candidate_and_binding_parsers(self):
         assert _parse_candidate("naive") == {

@@ -84,16 +84,25 @@ class TestEnumeratorCompleteness:
         assert len({repr(m) for m in matrices}) > 3
 
     def test_classic_autodist_menu_is_a_prefix(self):
-        from repro.core.autodist import candidate_assignments as classic
-        from repro.tune.space import candidate_assignments as tuner
+        from itertools import product
 
+        from repro.distributions import Blocked, Wrapped
+        from repro.tune.space import candidate_assignments
+
+        # The classic autodist menu: per array, wrapped then blocked along
+        # each dimension in turn.
         program = gemm_program(8)
         space = SearchSpace(block_sizes=())
+        options = [
+            repr(kind(dim)) for dim in (0, 1) for kind in (Wrapped, Blocked)
+        ]
+        names = [decl.name for decl in program.arrays]
         classic_list = [
-            {k: repr(v) for k, v in a.items()} for a in classic(program)
+            dict(zip(names, combo)) for combo in product(options, repeat=3)
         ]
         tuner_list = [
-            {k: repr(v) for k, v in a.items()} for a in tuner(program, space)
+            {k: repr(v) for k, v in a.items()}
+            for a in candidate_assignments(program, space)
         ]
         assert tuner_list == classic_list
         assert assignment_count(program, space) == len(classic_list)
