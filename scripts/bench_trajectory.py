@@ -24,6 +24,11 @@ Usage (from the repo root):
     PYTHONPATH=src python scripts/bench_trajectory.py --smoke   # CI scale
     PYTHONPATH=src python scripts/bench_trajectory.py --smoke --check
 
+At paper scale every measurement runs ``REPEATS["paper"]`` times and
+the JSON records the median wall clock, with all walls in
+``wall_s_runs`` so each recorded number carries its spread; every
+repeat must reproduce the same counts and tuner results.
+
 ``--check`` re-measures symbolic and analytic coverage (at whatever
 scale is selected) and fails if either drops below the value recorded in
 the JSON — the CI ``perf-smoke`` job runs this so a change that silently
@@ -49,6 +54,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -117,6 +123,10 @@ TUNE_SCALES = {
 #: schedule may compare to the paper's hand-picked one at full scale.
 TUNE_MIN_EXPLORED = 100
 TUNE_MAX_VS_PAPER = 1.0005  # exact tie expected; tiny float headroom
+
+#: Runs per measurement: the recorded paper-scale walls are medians with
+#: a spread; the CI smoke gate only reads coverage, so one run is enough.
+REPEATS = {"paper": 3, "smoke": 1}
 
 #: The auto-vs-walk wall bound in ``--check`` only applies when the
 #: forced walk itself took at least this long: below it (CI smoke
@@ -290,7 +300,26 @@ def _measure_tune(config, jobs):
     }
 
 
+def _repeated(repeats, measure, *args):
+    """``measure(*args)`` run ``repeats`` times: the median wall clock,
+    with every wall in ``wall_s_runs``."""
+    runs = [measure(*args) for _ in range(repeats)]
+
+    def timeless(run):
+        return {key: value for key, value in run.items() if key != "wall_s"}
+
+    for run in runs[1:]:
+        if timeless(run) != timeless(runs[0]):
+            raise SystemExit("a repeated measurement changed its results")
+    result = dict(runs[0])
+    walls = sorted(run["wall_s"] for run in runs)
+    result["wall_s"] = round(statistics.median(walls), 4)
+    result["wall_s_runs"] = walls
+    return result
+
+
 def run_benchmark(scale, jobs):
+    repeats = REPEATS[scale]
     document = {
         "schema": 1,
         "scale": scale,
@@ -298,9 +327,9 @@ def run_benchmark(scale, jobs):
         "configs": {},
     }
     for name, config in SCALES[scale].items():
-        walk = _measure(config, "walk", jobs)
-        auto = _measure(config, "auto", jobs)
-        symbolic = _measure(config, "symbolic", jobs)
+        walk = _repeated(repeats, _measure, config, "walk", jobs)
+        auto = _repeated(repeats, _measure, config, "auto", jobs)
+        symbolic = _repeated(repeats, _measure, config, "symbolic", jobs)
         for label, run in (("auto", auto), ("symbolic", symbolic)):
             if walk["checksum"] != run["checksum"]:
                 raise SystemExit(
@@ -320,11 +349,12 @@ def run_benchmark(scale, jobs):
             "params": {k: v for k, v in config.items() if k != "kind"},
             "counts_checksum": auto["checksum"],
             "engines": {
-                "walk": {"wall_s": walk["wall_s"], "tiers": walk["tiers"]},
-                "auto": {"wall_s": auto["wall_s"], "tiers": auto["tiers"]},
-                "symbolic": {
-                    "wall_s": symbolic["wall_s"], "tiers": symbolic["tiers"]
-                },
+                label: {
+                    key: run[key] for key in ("wall_s", "wall_s_runs", "tiers")
+                }
+                for label, run in (
+                    ("walk", walk), ("auto", auto), ("symbolic", symbolic)
+                )
             },
             "speedup_vs_walk": round(speedup, 2),
             "symbolic_speedup_vs_walk": round(symbolic_speedup, 2),
@@ -339,7 +369,7 @@ def run_benchmark(scale, jobs):
         )
     document["tune"] = {}
     for name, config in TUNE_SCALES[scale].items():
-        section = _measure_tune(config, jobs)
+        section = _repeated(repeats, _measure_tune, config, jobs)
         document["tune"][name] = section
         ratio = section["best_vs_paper"]
         print(
@@ -374,7 +404,7 @@ def check_coverage(document, recorded_path):
                 )
     # The banded-nest acceptance criterion measured fresh, not against
     # the record: auto must answer some of the SYR2K sweep from the
-    # symbolic tier (residue-class forms make tier 0 win on banded
+    # symbolic tier (fused loop evaluators make tier 0 win on banded
     # nests; a cost-model change that silently demotes them all fails
     # here even if the recorded JSON predates the criterion).
     syr2k = document["configs"].get("fig5-syr2k")

@@ -4,10 +4,10 @@ The generator aims at the corners where the normalization pipeline's repair
 paths (BasisMatrix completion, LegalBasis negation, LegalInvt padding) have
 to work hardest: interchange/skew/reversal-inducing subscripts, triangular,
 shifted and *banded* bounds (``max``/``min``-armed diagonal bands around an
-outer index — the shapes whose residue-class specialized forms the tier-0
-engine must stay bit-identical on), strided loops, singular and
-rank-deficient access matrices, and every standard distribution (wrapped,
-blocked, block-cyclic).
+outer index — the shapes on which the fused tier-0 evaluators must stay
+bit-identical), strided loops, singular and rank-deficient access
+matrices, and every standard distribution (wrapped, blocked,
+block-cyclic).
 
 Every generated program is *valid by construction*:
 
@@ -180,8 +180,8 @@ def _try_generate(rng: random.Random, name: str) -> Optional[ProgramSpec]:
     # loops: rectangular, shifted, triangular, banded, occasionally strided
     # ------------------------------------------------------------------
     # Banded drafts get a band-width parameter and emit SYR2K-style
-    # multi-armed bounds on inner levels: the residue-class specialized
-    # symbolic evaluators must stay bit-identical (and certified) on
+    # multi-armed bounds on inner levels: the fused symbolic evaluators
+    # must stay bit-identical (and certified) on
     # exactly these shapes, so the fuzzer leans into them.
     banded = depth >= 2 and rng.random() < 0.35
     if banded:

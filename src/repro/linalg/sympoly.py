@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd as _gcd
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
@@ -1512,401 +1511,6 @@ def _flat_ops(expr: SymExpr) -> int:
     return ops
 
 
-def _int_power_sum(k: int, n: int) -> int:
-    """``sum(j**k for j in range(n))`` exactly (``n >= 0``)."""
-    if k == 0:
-        return n
-    total = Fraction(0)
-    power = 1
-    for coeff in _power_sum_coeffs(k):
-        if coeff:
-            total += coeff * power
-        power *= n
-    return int(total)
-
-
-# ---------------------------------------------------------------------------
-# residue-class run plans
-# ---------------------------------------------------------------------------
-
-#: Below this trip count the plain fused loop wins over a plan run
-#: (dispatch + free-slot evaluation dominate); calibrated together with
-#: the cost constants by scripts/bench_sympoly.py.
-_PLAN_MIN_TRIPS = 12
-_PLAN_MAX_DEGREE = 16
-#: Cost-model constants for one specialized run (flat-op units matching
-#: eval_cost): fixed setup, and per-residue-class overhead on top of the
-#: leaf polynomial work.  Recorded in BENCH_simulator.json "sympoly".
-_PLAN_SETUP_OPS = 24
-_PLAN_CLASS_OPS = 14
-
-_POS, _GE0, _MOD, _FDIV = 0, 1, 2, 3
-
-
-class _PlanBuild(Exception):
-    """Internal: the loop bodies do not qualify for a run plan."""
-
-
-class _PlanBail(Exception):
-    """Internal: a plan run exceeded its work budget."""
-
-
-class _LoopPlan:
-    """Residue-class / segment specialization of one fused loop level.
-
-    Each qualifying atom's argument is affine in the loop variable, so
-    over an arithmetic progression of iterations the atom either
-    *resolves* to an affine function of the local index —
-    ``Mod``/``FloorDiv`` once the progression step is divisible by the
-    modulus, ``Pos``/``Ge0`` once the argument's sign is constant — or
-    tells us how to split: residue classes of period
-    ``modulus // gcd(modulus, step)`` for congruence atoms, the sign
-    change point for clamp atoms.  Once every atom has resolved, the
-    member bodies are plain integer polynomials in the local index and
-    the segment closes in O(1) by Faulhaber power sums.
-
-    This is the evaluation-time counterpart of :func:`_residue_split` /
-    :func:`_pos_split`: it runs against *concrete* moduli, so the class
-    count is the real ``lcm`` for this cell (1 when the level's stride
-    already divides every modulus — the wrapped outer level) instead of
-    a symbolic worst case, and no closed form has to survive in the
-    expression tree.
-
-    ``run`` returns ``None`` — the caller falls back to the emitted
-    fused loop — when a runtime modulus is non-positive or the work
-    budget (a small multiple of the plain loop's cost) is exceeded, so
-    a plan can never lose by more than a constant factor.
-    """
-
-    __slots__ = (
-        "specs",
-        "members",
-        "dens",
-        "free_fn",
-        "moduli",
-        "leaf_ops",
-        "_unit",
-    )
-
-    def __init__(self, var: str, bodies: List[SymExpr]) -> None:
-        free_exprs: List[SymExpr] = []
-        free_index: Dict[SymExpr, int] = {}
-        specs: List[Tuple] = []
-        spec_index: Dict[_Atom, int] = {}
-        moduli: List = []
-
-        def free_slot(expr: SymExpr) -> int:
-            slot = free_index.get(expr)
-            if slot is None:
-                for atom in _deep_atoms(expr, []):
-                    if isinstance(atom, BoundedSum):
-                        # Re-evaluating a residual sum per run would hide
-                        # real work in the "free" prologue; let the fused
-                        # loop (which hoists it once) handle this body.
-                        raise _PlanBuild
-                slot = len(free_exprs)
-                free_index[expr] = slot
-                free_exprs.append(expr)
-            return slot
-
-        def affine_terms(arg: SymExpr):
-            den, terms = arg._eval_plan()
-            if den != 1:
-                raise _PlanBuild
-            out = []
-            invariant: Dict[_Monomial, Fraction] = {}
-            for coeff, mono in terms:
-                dep = None
-                for pair in mono:
-                    base = pair[0]
-                    if (
-                        base == var
-                        if isinstance(base, str)
-                        else base.depends_on(var)
-                    ):
-                        if dep is not None:
-                            raise _PlanBuild
-                        dep = pair
-                if dep is None:
-                    invariant[mono] = Fraction(coeff)
-                    continue
-                base, exp = dep
-                if exp != 1:
-                    raise _PlanBuild
-                bidx = -1 if isinstance(base, str) else visit(base)
-                rest = tuple(pair for pair in mono if pair is not dep)
-                if rest:
-                    cofactor = SymExpr({rest: Fraction(coeff)})
-                    out.append((None, free_slot(cofactor), bidx))
-                else:
-                    out.append((coeff, None, bidx))
-            fslot = free_slot(SymExpr(invariant)) if invariant else None
-            return tuple(out), fslot
-
-        def visit(atom: _Atom) -> int:
-            idx = spec_index.get(atom)
-            if idx is not None:
-                return idx
-            if isinstance(atom, (Mod, FloorDiv)):
-                if _modulus_depends(atom.modulus, var):
-                    raise _PlanBuild
-                kind = _MOD if isinstance(atom, Mod) else _FDIV
-                if isinstance(atom.modulus, int):
-                    mconst, mslot = atom.modulus, None
-                else:
-                    mconst, mslot = None, free_slot(atom.modulus)
-            elif isinstance(atom, Pos):
-                kind, mconst, mslot = _POS, None, None
-            elif isinstance(atom, Ge0):
-                kind, mconst, mslot = _GE0, None, None
-            else:
-                raise _PlanBuild
-            terms, fslot = affine_terms(atom.arg)
-            idx = len(specs)
-            spec_index[atom] = idx
-            specs.append((kind, terms, fslot, mconst, mslot))
-            if kind in (_MOD, _FDIV):
-                moduli.append(atom.modulus)
-            return idx
-
-        mplans = []
-        dens = []
-        leaf_ops = 2
-        for body in bodies:
-            den, terms = body._eval_plan()
-            mterms = []
-            for coeff, mono in terms:
-                factors = []
-                degree = 0
-                for base, exp in mono:
-                    if isinstance(base, str):
-                        if base == var:
-                            factors.append((0, -1, exp))
-                            degree += exp
-                        else:
-                            slot = free_slot(SymExpr._symbol(base))
-                            factors.append((2, slot, exp))
-                    elif base.depends_on(var):
-                        if isinstance(base, BoundedSum):
-                            raise _PlanBuild
-                        factors.append((1, visit(base), exp))
-                        degree += exp
-                    else:
-                        slot = free_slot(SymExpr._atom(base))
-                        factors.append((2, slot, exp))
-                if degree > _PLAN_MAX_DEGREE:
-                    raise _PlanBuild
-                mterms.append((coeff, tuple(factors)))
-                leaf_ops += 2 + len(factors)
-            mplans.append(tuple(mterms))
-            dens.append(den)
-        self.specs = tuple(specs)
-        self.members = tuple(mplans)
-        self.dens = tuple(dens)
-        self.moduli = tuple(moduli)
-        self.leaf_ops = leaf_ops
-        self._unit = leaf_ops + len(specs) + 2
-        self.free_fn = _compile_exprs(free_exprs) if free_exprs else None
-
-    def run(self, env: Mapping[str, int], limit: int):
-        """Per-member totals over ``range(max(0, limit))`` — or None."""
-        if limit <= 0:
-            return tuple(0 for _ in self.members)
-        fvals = self.free_fn(env) if self.free_fn is not None else ()
-        mods = []
-        for kind, _terms, _fslot, mconst, mslot in self.specs:
-            if kind >= _MOD:
-                m = mconst if mconst is not None else fvals[mslot]
-                if m <= 0:
-                    # The fused loop's checked atoms report this exactly.
-                    return None
-                mods.append(m)
-            else:
-                mods.append(0)
-        out = [0] * len(self.members)
-        state = [2 * (limit + 8) * self._unit]
-        psums: Dict[Tuple[int, int], int] = {}
-        try:
-            self._segment(
-                0, 1, limit, [None] * len(self.specs),
-                fvals, mods, out, state, psums,
-            )
-        except _PlanBail:
-            return None
-        return tuple(
-            value if den == 1 else _exact_div(value, den)
-            for value, den in zip(out, self.dens)
-        )
-
-    def _segment(self, start, step, count, res, fvals, mods, out, state, psums):
-        """Accumulate ``sum(body(start + step*j) for j in range(count))``.
-
-        ``res[i]`` holds spec ``i`` resolved to ``(slope, intercept)``
-        in the local index ``j``, or None while unresolved.
-        """
-        while True:
-            if count <= 0:
-                return
-            state[0] -= self._unit
-            if state[0] < 0:
-                raise _PlanBail
-            pending = False
-            progressed = False
-            clamp_split = None
-            period = 1
-            for i, (kind, terms, fslot, _mc, _ms) in enumerate(self.specs):
-                if res[i] is not None:
-                    continue
-                slope = 0
-                inter = fvals[fslot] if fslot is not None else 0
-                blocked = False
-                for coeff, cslot, bidx in terms:
-                    if bidx < 0:
-                        bs, bc = step, start
-                    else:
-                        resolved = res[bidx]
-                        if resolved is None:
-                            blocked = True
-                            break
-                        bs, bc = resolved
-                    weight = coeff if cslot is None else fvals[cslot]
-                    slope += weight * bs
-                    inter += weight * bc
-                if blocked:
-                    pending = True
-                    continue
-                if kind <= _GE0:
-                    if slope == 0:
-                        if kind == _POS:
-                            res[i] = (0, inter if inter > 0 else 0)
-                        else:
-                            res[i] = (0, 1 if inter >= 0 else 0)
-                        progressed = True
-                    else:
-                        pending = True
-                        if clamp_split is None:
-                            clamp_split = (i, kind, slope, inter)
-                else:
-                    m = mods[i]
-                    if slope % m == 0:
-                        if kind == _MOD:
-                            res[i] = (0, inter % m)
-                        else:
-                            res[i] = (slope // m, inter // m)
-                        progressed = True
-                    else:
-                        pending = True
-                        stride = m // _gcd(m, slope)
-                        period = period * stride // _gcd(period, stride)
-            if not pending:
-                break
-            if progressed:
-                continue
-            if period > 1:
-                # Residue split: local index j = cls + width*j'.
-                width = period if period < count else count
-                for cls in range(width):
-                    sub = (count - cls + width - 1) // width
-                    child = [
-                        None if r is None else (r[0] * width, r[1] + r[0] * cls)
-                        for r in res
-                    ]
-                    self._segment(
-                        start + step * cls, step * width, sub,
-                        child, fvals, mods, out, state, psums,
-                    )
-                return
-            if clamp_split is not None:
-                # Sign split: the argument slope*j + inter crosses zero
-                # once; below/above the cut the clamp is affine.
-                i, kind, slope, inter = clamp_split
-                if slope > 0:
-                    cut = -(inter // slope)
-                    low_nonneg = False
-                else:
-                    cut = inter // -slope + 1
-                    low_nonneg = True
-                if cut < 0:
-                    cut = 0
-                elif cut > count:
-                    cut = count
-                for off, sub, nonneg in (
-                    (0, cut, low_nonneg),
-                    (cut, count - cut, not low_nonneg),
-                ):
-                    if sub <= 0:
-                        continue
-                    child = [
-                        None if r is None else (r[0], r[1] + r[0] * off)
-                        for r in res
-                    ]
-                    if kind == _GE0:
-                        child[i] = (0, 1 if nonneg else 0)
-                    elif nonneg:
-                        child[i] = (slope, inter + slope * off)
-                    else:
-                        child[i] = (0, 0)
-                    self._segment(
-                        start + step * off, step, sub,
-                        child, fvals, mods, out, state, psums,
-                    )
-                return
-            raise _PlanBail  # unresolvable dependency chain
-        # Leaf: every spec affine in j — close by Faulhaber power sums.
-        state[0] -= self.leaf_ops
-        if state[0] < 0:
-            raise _PlanBail
-        for mi, mterms in enumerate(self.members):
-            total = 0
-            for coeff, factors in mterms:
-                poly = [coeff]
-                for tag, ref, exp in factors:
-                    if tag == 2:
-                        value = fvals[ref]
-                        if value == 0:
-                            poly = None
-                            break
-                        scale = value if exp == 1 else value ** exp
-                        poly = [c * scale for c in poly]
-                        continue
-                    if tag == 0:
-                        fs, fc = step, start
-                    else:
-                        fs, fc = res[ref]
-                    if fs == 0:
-                        if fc == 0:
-                            poly = None
-                            break
-                        scale = fc if exp == 1 else fc ** exp
-                        poly = [c * scale for c in poly]
-                        continue
-                    for _ in range(exp):
-                        nxt = [0] * (len(poly) + 1)
-                        for d, c in enumerate(poly):
-                            if c:
-                                nxt[d] += c * fc
-                                nxt[d + 1] += c * fs
-                        poly = nxt
-                if poly is None:
-                    continue
-                for d, c in enumerate(poly):
-                    if c:
-                        key = (d, count)
-                        ps = psums.get(key)
-                        if ps is None:
-                            ps = _int_power_sum(d, count)
-                            psums[key] = ps
-                        total += c * ps
-            out[mi] += total
-
-
-def _build_plan(var: str, bodies: List[SymExpr]) -> Optional[_LoopPlan]:
-    try:
-        return _LoopPlan(var, bodies)
-    except _PlanBuild:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # compiled evaluation
 # ---------------------------------------------------------------------------
@@ -1946,11 +1550,8 @@ class _Emitter:
         self.loads: List[str] = []
         self.count = 0
         self.symmap: Dict[str, str] = {}
-        self.plans: List[_LoopPlan] = []
-        self.uses_env = False
         self.induction: Dict[_Atom, str] = {}
         self.groups_meta: List[Dict] = []
-        self.free: frozenset = frozenset()
         self._meta_stack: List[List[Dict]] = [self.groups_meta]
 
     def temp(self) -> str:
@@ -2048,7 +1649,6 @@ class _Emitter:
     def emit_outputs(
         self, exprs: List[SymExpr], scope: _Scope, indent: int
     ) -> List[str]:
-        self.free = frozenset().union(*(e.free_symbols() for e in exprs))
         term_lists = [expr._eval_plan()[1] for expr in exprs]
         for (var, bound), members in self._collect_groups(term_lists, scope):
             self.emit_group(var, bound, members, scope, indent)
@@ -2059,8 +1659,7 @@ class _Emitter:
 
         The derivation binds one fresh variable per level, so grouping
         by ``(var, bound)`` reunites the per-field contributions of one
-        loop level; everything in a group runs under one emitted loop
-        (or one residue-class plan)."""
+        loop level; everything in a group runs under one emitted loop."""
         order: List[Tuple[str, SymExpr]] = []
         buckets: Dict[Tuple[str, SymExpr], List[BoundedSum]] = {}
         for terms in term_lists:
@@ -2137,50 +1736,26 @@ class _Emitter:
     ) -> None:
         """One fused loop level: every member sums over the same range.
 
-        Emits, in order: the shared trip count, a residue-class plan
-        dispatch when the bodies qualify (:class:`_LoopPlan`), and the
-        plain fused loop as the always-correct fallback — with
-        per-member invariant hoisting, induction registers, and
-        recursive fusion of the members' nested sums inside the loop
-        body.  Caches each member's total in ``scope``."""
+        Emits the shared trip count and one plain loop, with per-member
+        invariant hoisting, induction registers, and recursive fusion of
+        the members' nested sums inside the loop body.  Caches each
+        member's total in ``scope``."""
         pad = "    " * indent
         bound_code = self.expr_code(bound, scope, indent)
         limit = self.temp()
         self.lines.append(f"{pad}{limit} = {bound_code}")
         self.lines.append(f"{pad}if {limit} < 0:")
         self.lines.append(f"{pad}    {limit} = 0")
-        plan = _build_plan(var, [member.body for member in members])
         meta = {
             "bound": bound,
             "iter_ops": sum(_flat_ops(member.body) for member in members),
-            "plan": plan is not None,
-            "moduli": plan.moduli if plan is not None else (),
-            "nspecs": len(plan.specs) if plan is not None else 0,
-            "leaf_ops": plan.leaf_ops if plan is not None else 0,
             "children": [],
         }
         self._meta_stack[-1].append(meta)
-        if plan is not None:
-            plan_id = len(self.plans)
-            self.plans.append(plan)
-            self.uses_env = True
-            result = self.temp()
-            self.lines.append(
-                f"{pad}{result} = _plan{plan_id}.run(_env, {limit})"
-                f" if {limit} >= {_PLAN_MIN_TRIPS} else None"
-            )
-            self.lines.append(f"{pad}if {result} is None:")
-            fb_scope: _Scope = _Scope(scope)
-            fb_indent = indent + 1
-        else:
-            result = None
-            fb_scope = scope
-            fb_indent = indent
-        fpad = "    " * fb_indent
         for member in members:
             for atom in member._free_atoms():
-                self.base_code(atom, fb_scope, fb_indent)
-        inductions = self._induction_registers(var, members, fb_scope, fb_indent)
+                self.base_code(atom, scope, indent)
+        inductions = self._induction_registers(var, members, scope, indent)
         accs: List[str] = []
         hoists: List[Optional[str]] = []
         dens: List[int] = []
@@ -2197,32 +1772,22 @@ class _Emitter:
             hoisted = None
             if invariant:
                 hoisted = self.temp()
-                code = self.terms_code(invariant, fb_scope, fb_indent)
-                self.lines.append(f"{fpad}{hoisted} = {code}")
+                code = self.terms_code(invariant, scope, indent)
+                self.lines.append(f"{pad}{hoisted} = {code}")
             acc = self.temp()
-            self.lines.append(f"{fpad}{acc} = 0")
+            self.lines.append(f"{pad}{acc} = 0")
             accs.append(acc)
             hoists.append(hoisted)
             dens.append(den)
             movings.append(moving)
         if any(movings):
             loop = self.temp()
-            self.lines.append(f"{fpad}for {loop} in range({limit}):")
-            body_indent = fb_indent + 1
+            self.lines.append(f"{pad}for {loop} in range({limit}):")
+            body_indent = indent + 1
             bpad = "    " * body_indent
             saved = self.symmap.get(var)
             self.symmap[var] = loop
-            snapshot = any(
-                isinstance(atom, BoundedSum)
-                for member in members
-                for atom in _deep_atoms(member.body, [])
-            )
-            if snapshot:
-                # Nested plans resolve enclosing loop variables through
-                # the environment snapshot.
-                self.uses_env = True
-                self.lines.append(f"{bpad}_env[{var!r}] = {loop}")
-            inner = _Scope(fb_scope, var)
+            inner = _Scope(scope, var)
             self._meta_stack.append(meta["children"])
             for (nvar, nbound), nested in self._collect_groups(movings, inner):
                 self.emit_group(nvar, nbound, nested, inner, body_indent)
@@ -2237,34 +1802,19 @@ class _Emitter:
                 del self.symmap[var]
             else:
                 self.symmap[var] = saved
-            if snapshot and var in self.free:
-                # The name is also free outside this sum: later plans
-                # must read its outer value from the snapshot again.
-                self.lines.append(f"{fpad}_env[{var!r}] = env[{var!r}]")
         for atom, _register, _delta in inductions:
             del self.induction[atom]
-        finals: List[str] = []
-        for acc, hoisted, den in zip(accs, hoists, dens):
+        for member, acc, hoisted, den in zip(members, accs, hoists, dens):
             total = acc if hoisted is None else f"{acc} + {hoisted}*{limit}"
             if den != 1:
                 final = self.temp()
-                self.lines.append(f"{fpad}{final} = _exact_div({total}, {den})")
+                self.lines.append(f"{pad}{final} = _exact_div({total}, {den})")
             elif hoisted is not None:
                 final = self.temp()
-                self.lines.append(f"{fpad}{final} = {total}")
+                self.lines.append(f"{pad}{final} = {total}")
             else:
                 final = acc
-            finals.append(final)
-        if plan is not None:
-            tail = "," if len(finals) == 1 else ""
-            self.lines.append(f"{fpad}{result} = ({', '.join(finals)}{tail})")
-            for index, member in enumerate(members):
-                out = self.temp()
-                self.lines.append(f"{pad}{out} = {result}[{index}]")
-                scope.cache[member] = out
-        else:
-            for member, final in zip(members, finals):
-                scope.cache[member] = final
+            scope.cache[member] = final
 
 
 def _compile_exprs(exprs: List[SymExpr]):
@@ -2273,8 +1823,6 @@ def _compile_exprs(exprs: List[SymExpr]):
     outputs = emitter.emit_outputs(exprs, scope, 1)
     lines = ["def _form(env):"]
     lines.extend(emitter.loads)
-    if emitter.uses_env:
-        lines.append("    _env = dict(env)")
     lines.extend(emitter.lines)
     tail = "," if len(outputs) == 1 else ""
     lines.append(f"    return ({', '.join(outputs)}{tail})")
@@ -2284,15 +1832,12 @@ def _compile_exprs(exprs: List[SymExpr]):
         "_checked_mod": _checked_mod,
         "_checked_fdiv": _checked_fdiv,
     }
-    for index, plan in enumerate(emitter.plans):
-        namespace[f"_plan{index}"] = plan
     exec(compile(source, "<sympoly-form>", "exec"), namespace)
     form = namespace["_form"]
     # The generated text rides along for the kernel sanitizer
     # (repro.analysis.kernels) and for debugging; the cost tree feeds
-    # planned_cost so promotion gates see what the runtime will choose.
+    # planned_cost so promotion gates price the loops that will run.
     form.source = source
-    form.plans = tuple(emitter.plans)
     form.cost_tree = {
         "root_ops": sum(_flat_ops(expr) for expr in exprs),
         "groups": emitter.groups_meta,
@@ -2306,10 +1851,10 @@ def compile_account(forms: "Mapping[str, SymExpr]"):
     This is the only compiled form of a :class:`SymExpr`: all forms
     compile into a single function, so bounded sums sharing a summation
     level — the per-field contributions of one derived program always
-    do — run in one fused loop (or one residue-class plan) and shared
-    atoms evaluate once.  The returned function carries ``fields`` (the
-    keys of ``forms``, in output order), ``source`` (the generated
-    text), ``plans`` and ``cost_tree`` (for :func:`planned_cost`).
+    do — run in one fused loop and shared atoms evaluate once.  The
+    returned function carries ``fields`` (the keys of ``forms``, in
+    output order), ``source`` (the generated text) and ``cost_tree``
+    (for :func:`planned_cost`).
 
     Every form compiles.  Binder hygiene is a property of how sums are
     built (see :func:`bounded_sum`), and the emitter scopes its atom
@@ -2324,13 +1869,10 @@ def compile_account(forms: "Mapping[str, SymExpr]"):
 def planned_cost(tree, extent_hint) -> int:
     """Estimated flat ops for one call of a compiled evaluator.
 
-    Mirrors the choice the emitted code makes at runtime: a fused group
-    costs the cheaper of its plain loop and — when a plan compiled and
-    the trip count clears the dispatch threshold — its residue-class
-    run, whose class count is the lcm of the *concrete* moduli under
-    ``extent_hint``, capped at the trip count.  This is what lets the
-    promotion gates see that a banded form with a wrapped outer level
-    evaluates in O(classes), not O(trips)."""
+    Prices the fused loop tree as the emitted code runs it: each group
+    costs its trip count under ``extent_hint`` times one loop step plus
+    its members' per-iteration ops and its nested groups.  Fused loops
+    are costed once, not once per field."""
 
     def group_cost(meta) -> int:
         trips = extent_hint(meta["bound"])
@@ -2339,26 +1881,7 @@ def planned_cost(tree, extent_hint) -> int:
         per_iter = 1 + meta["iter_ops"]
         for child in meta["children"]:
             per_iter += group_cost(child)
-        cost = trips * per_iter
-        if meta["plan"] and trips >= _PLAN_MIN_TRIPS:
-            classes = 1
-            for modulus in meta["moduli"]:
-                value = (
-                    modulus
-                    if isinstance(modulus, int)
-                    else max(1, extent_hint(modulus))
-                )
-                classes = classes * value // _gcd(classes, value)
-                if classes >= trips:
-                    break
-            if classes > trips:
-                classes = trips
-            run = _PLAN_SETUP_OPS + classes * (
-                _PLAN_CLASS_OPS + meta["nspecs"] + meta["leaf_ops"]
-            )
-            if run < cost:
-                cost = run
-        return cost
+        return trips * per_iter
 
     total = tree["root_ops"]
     for meta in tree["groups"]:

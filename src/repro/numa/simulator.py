@@ -778,15 +778,17 @@ ENGINES = ("auto", "symbolic", "closed-form", "compiled", "walk")
 #: tier when its estimated per-processor evaluation cost (flat ops, see
 #: :meth:`SymbolicEngine.estimate_cost`) exceeds this ceiling — a form
 #: dominated by residual ``BoundedSum`` loops over large extents can be
-#: slower than the closed-form engine it would replace.  The estimate is
-#: plan-aware (fused loops costed once, residue-class plan levels at
-#: O(classes)); one estimated op measures ~0.3–0.6 µs of compiled-form
-#: evaluation (``scripts/bench_sympoly.py``, recorded in
-#: ``BENCH_simulator.json``), so the ceiling admits accounts up to tens
-#: of milliseconds — the regime where the banded paper kernels still
-#: beat the closed-form tier.  Forcing ``engine="symbolic"`` bypasses
-#: the ceiling.
-SYMBOLIC_COST_CEILING = 120_000
+#: slower than the closed-form engine it would replace.  The estimate
+#: prices the plain fused loops the evaluator runs, each loop once at
+#: its trip count.  On the naive banded SYR2K account at N=416, b=52,
+#: P=1 (~9.6 M estimated ops, the costliest account the paper sweeps
+#: keep), ``scripts/bench_sympoly.py`` measures 5–10 ns per estimated op
+#: against 230–500 ms for the closed-form cell, a break-even of 30–75 M
+#: ops across runs on a 2-core Xeon host (one run is recorded in
+#: ``BENCH_simulator.json``).  The ceiling sits between the costliest
+#: kept account and the lowest break-even.  Forcing
+#: ``engine="symbolic"`` bypasses the ceiling.
+SYMBOLIC_COST_CEILING = 16_000_000
 
 def _cached_form(node: NodeProgram):
     """The tier-0 symbolic engine for ``node``, derived at most once.

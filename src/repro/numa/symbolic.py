@@ -64,7 +64,7 @@ __all__ = ["SymbolicEngine", "SymbolicUnsupported", "FIELDS", "FORM_SCHEMA"]
 #: this so an upgraded derivation — new splits, new evaluator shapes —
 #: never reads a stale pre-upgrade entry from a shared store.  Bump it
 #: whenever the derived forms or their compiled evaluators change shape.
-FORM_SCHEMA = 2
+FORM_SCHEMA = 3
 
 #: ``sym_sum`` work (``1 + term_count`` per call, recursive splits
 #: included) allowed per level elimination before falling back to an
@@ -146,11 +146,11 @@ class SymbolicEngine:
         )
         self.forms: Dict[str, SymExpr] = self._derive()
         # One fused evaluator for all fields: sums sharing a summation
-        # level run in one loop (or one residue-class plan) and shared
-        # atoms evaluate once.  The identity snapshot lets evaluator()
-        # detect callers that rebind ``self.forms`` entries
-        # (certification injects defective forms this way) and
-        # recompile, so it never serves a stale pre-mutation evaluator.
+        # level run in one loop and shared atoms evaluate once.  The
+        # identity snapshot lets evaluator() detect callers that rebind
+        # ``self.forms`` entries (certification injects defective forms
+        # this way) and recompile, so it never serves a stale
+        # pre-mutation evaluator.
         self._account = compile_account(self.forms)
         self._account_forms = tuple(self.forms.values())
 
@@ -518,12 +518,9 @@ class SymbolicEngine:
         ``symbolic`` engine is never demoted.
 
         The estimate walks the fused evaluator's cost tree
-        (:func:`~repro.linalg.sympoly.planned_cost`), mirroring what the
-        runtime will actually execute: fused loops are costed once —
-        not once per field — and a level with a residue-class plan costs
-        O(classes) with the *concrete* ``lcm`` of its moduli, so banded
-        forms whose wrapped levels collapse to one class promote
-        honestly instead of being demoted by a worst-case loop model.
+        (:func:`~repro.linalg.sympoly.planned_cost`), pricing the plain
+        loops the runtime executes: each fused loop is costed once — not
+        once per field — at its trip count times its per-iteration ops.
         """
         eval_env = dict(env)
         eval_env[self.procs_name] = processors

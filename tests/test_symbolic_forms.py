@@ -358,8 +358,8 @@ class TestBinderHygiene:
         k, n, P = sym("k"), sym("n"), sym("P")
         # Emitted in construction order: ``head`` caches mod(k, 5) for
         # the free ``k`` before ``bound_k`` loops over its own ``k``
-        # (its nested sum makes the loop write the plans' environment
-        # snapshot), and ``tail``'s plan reads the free ``k`` after it.
+        # (with a nested sum inside the loop), and ``tail`` reads the
+        # free ``k`` after it.
         head = bounded_sum("h", mod(k, 5) + n, sym("h"))
         bound_k = bounded_sum(
             "k", n, mod(k, 5) * bounded_sum("i", P, mod(sym("i") + k, P))
@@ -733,14 +733,14 @@ class TestRetryAfterParsing:
 
 
 # ----------------------------------------------------------------------
-# Residue-class specialized evaluators (tier-0 on banded nests)
+# Fused evaluators (tier-0 on banded nests)
 # ----------------------------------------------------------------------
-class TestResidueClassSpecialization:
-    """The fused, plan-specialized evaluation path on banded forms.
+class TestFusedEvaluator:
+    """The fused, strength-reduced evaluation path on banded forms.
 
     Three implementations of the same counts must agree bit-for-bit:
-    the fused evaluator with residue-class loop plans ("split"), the
-    per-form interpreter (`evaluate`, "unsplit"), and the tier-3 walk.
+    the fused evaluator ("split"), the per-form interpreter
+    (`evaluate`, "unsplit"), and the tier-3 walk.
     """
 
     def test_split_unsplit_walk_agree_on_banded_grid(self):
@@ -770,18 +770,31 @@ class TestResidueClassSpecialization:
                             assert split[field] == unsplit, key
                             assert split[field] == reference, key
 
-    def test_banded_forms_use_residue_class_plans(self):
-        # The whole point of the PR: SYR2K's wrapped banded nest must
-        # actually compile a residue-class plan, not just a loop.
-        node = syr2k_variants(24, 4)["syr2k"]
-        fused = SymbolicEngine(node).evaluator()
-        assert any(plan is not None for plan in fused.plans)
+    def test_paper_scale_forms_clear_the_cost_ceiling(self):
+        # Auto serves the Figure 4/5 sweeps from tier 0: at paper scale
+        # (and at the benchmark's largest neighbour size) the plain
+        # fused loops of every variant are priced under the ceiling,
+        # at one processor (the costliest cell) and at 28.
+        from repro.numa.simulator import SYMBOLIC_COST_CEILING
 
-    def test_plan_matches_interpreter_on_synthetic_mod_sums(self):
+        nodes = dict(gemm_variants(400))
+        nodes.update(syr2k_variants(400, 48))
+        for name, node in sorted(nodes.items()):
+            engine = SymbolicEngine(node)
+            for params in ({"N": 400, "b": 48}, {"N": 416, "b": 52}):
+                env = node.program.bound_params({
+                    key: value for key, value in params.items()
+                    if key in node.program.params
+                })
+                for processors in (1, 28):
+                    cost = engine.estimate_cost(env, processors)
+                    key = (name, params, processors, cost)
+                    assert 0 < cost <= SYMBOLIC_COST_CEILING, key
+
+    def test_fused_matches_interpreter_on_synthetic_mod_sums(self):
         # Direct sympoly-level check: a banded-style sum whose body
         # carries Mod/FloorDiv/Pos atoms in the bound variable, over
-        # trip counts below and above the plan threshold, for several
-        # moduli (incl. 1, where every class collapses).
+        # short and long trip counts, for several moduli (incl. 1).
         q = sym("q")
         P = sym("P")
         n = sym("n")
@@ -801,9 +814,9 @@ class TestResidueClassSpecialization:
                     env = {"n": N, "P": procs, "c": c}
                     assert fast(env) == (expr.evaluate(env),), env
 
-    def test_plan_falls_back_on_nonpositive_modulus(self):
+    def test_fused_and_interpreter_reject_nonpositive_modulus(self):
         # A runtime modulus <= 0 must raise the checked-atom error from
-        # both the interpreter and the compiled/planned path.
+        # both the interpreter and the fused evaluator.
         q = sym("q")
         expr = bounded_sum("q", sym("n"), mod(q, sym("P")))
         env = {"n": 64, "P": 0}

@@ -108,8 +108,8 @@ def test_paper_kernels_are_tier1_end_to_end():
     AND the Figure 5 SYR2K sweep from the symbolic per-program forms.
     SYR2K's banded nests used to be demoted to closed form (their
     multi-armed bounds made naive form evaluation slower than
-    re-derivation); residue-class specialized evaluators made the
-    forms cheap enough that auto's cost model now promotes them.  No
+    re-derivation); fused, strength-reduced evaluators made the forms
+    cheap enough that auto's cost model now promotes them.  No
     paper kernel ever falls back to the walk."""
     from repro.bench import gemm_variants, syr2k_variants
 
