@@ -9,16 +9,21 @@ triangular system of bounds.
 Constraints are affine inequalities ``coeffs . y + const >= 0`` where ``y``
 stacks the eliminable variables first and any number of symbolic parameters
 after them.  Parameters are never eliminated.
+
+Elimination runs on primitive integer rows: every constraint is scaled to
+coprime ``int`` coefficients on entry (:meth:`Constraint.normalized`) and
+pairwise combination keeps it integral, so the only rationals are the
+bounds' quotients by the eliminated variable's coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import LinalgError
-from repro.linalg.intmat import vector_gcd, vector_lcm
 
 Number = Union[int, Fraction]
 
@@ -29,23 +34,32 @@ class InfeasibleSystemError(LinalgError):
 
 @dataclass(frozen=True)
 class Constraint:
-    """The affine inequality ``coeffs . y + const >= 0``."""
+    """The affine inequality ``coeffs . y + const >= 0``.
 
-    coeffs: Tuple[Fraction, ...]
-    const: Fraction
+    Callers may build rows from any mix of ints and Fractions; the
+    eliminator works on :meth:`normalized` rows, whose entries are ints.
+    """
+
+    coeffs: Tuple[Number, ...]
+    const: Number
 
     @staticmethod
     def make(coeffs: Sequence[Number], const: Number) -> "Constraint":
         return Constraint(tuple(Fraction(c) for c in coeffs), Fraction(const))
 
     def normalized(self) -> "Constraint":
-        """Scale so coefficients are coprime integers (stable deduplication key)."""
-        values = list(self.coeffs) + [self.const]
-        denominator = vector_lcm([value.denominator for value in values]) or 1
-        scaled = [int(value * denominator) for value in values]
-        divisor = vector_gcd(scaled) or 1
-        scaled = [value // divisor for value in scaled]
-        return Constraint(tuple(Fraction(v) for v in scaled[:-1]), Fraction(scaled[-1]))
+        """The same inequality as a primitive integer row: ``int`` entries
+        with gcd 1 (a stable deduplication key)."""
+        values = self.coeffs + (self.const,)
+        denominator = lcm(*[value.denominator for value in values])
+        scaled = [
+            value.numerator * (denominator // value.denominator)
+            for value in values
+        ]
+        divisor = gcd(*scaled)
+        if divisor > 1:
+            scaled = [value // divisor for value in scaled]
+        return Constraint(tuple(scaled[:-1]), scaled[-1])
 
     def evaluate(self, point: Sequence[Number]) -> Fraction:
         """The value of ``coeffs . point + const``."""
@@ -77,6 +91,24 @@ class Bound:
     coeffs: Tuple[Fraction, ...]
     const: Fraction
     is_lower: bool
+
+    @staticmethod
+    def from_constraint(constraint: Constraint, var: int) -> "Bound":
+        """The bound an integer row places on ``var`` (nonzero coefficient).
+
+        ``a*var + rest >= 0`` is ``var >= -rest/a`` for ``a > 0`` and
+        ``var <= rest/(-a)`` for ``a < 0``.
+        """
+        a = constraint.coeffs[var]
+        scale = -1 if a > 0 else 1
+        den = abs(a)
+        coeffs = tuple(
+            Fraction(scale * c, den) if j != var else Fraction(0)
+            for j, c in enumerate(constraint.coeffs)
+        )
+        return Bound(
+            var, coeffs, Fraction(scale * constraint.const, den), is_lower=a > 0
+        )
 
     def evaluate(self, point: Sequence[Number]) -> Fraction:
         """The bound's value at ``point`` (outer variables + parameters)."""
@@ -164,8 +196,6 @@ def eliminate_with_projections(
     projections: List[List[Constraint]] = [None] * num_vars  # type: ignore[list-item]
 
     for var in range(num_vars - 1, -1, -1):
-        lowers: List[Bound] = []
-        uppers: List[Bound] = []
         neutral: List[Constraint] = []
         positive: List[Constraint] = []
         negative: List[Constraint] = []
@@ -178,20 +208,8 @@ def eliminate_with_projections(
             else:
                 neutral.append(constraint)
 
-        for constraint in positive:
-            # a*var + rest >= 0  with a > 0   =>   var >= -(rest)/a
-            a = constraint.coeffs[var]
-            coeffs = tuple(
-                -c / a if j != var else Fraction(0) for j, c in enumerate(constraint.coeffs)
-            )
-            lowers.append(Bound(var, coeffs, -constraint.const / a, is_lower=True))
-        for constraint in negative:
-            # a*var + rest >= 0  with a < 0   =>   var <= (rest)/(-a)
-            a = constraint.coeffs[var]
-            coeffs = tuple(
-                c / (-a) if j != var else Fraction(0) for j, c in enumerate(constraint.coeffs)
-            )
-            uppers.append(Bound(var, coeffs, constraint.const / (-a), is_lower=False))
+        lowers = [Bound.from_constraint(c, var) for c in positive]
+        uppers = [Bound.from_constraint(c, var) for c in negative]
 
         levels[var] = LevelBounds(var=var, lowers=tuple(lowers), uppers=tuple(uppers))
 
@@ -229,16 +247,11 @@ def maximize(
     # Coordinates: [t, original...]; constrain t == objective.
     lifted: List[Constraint] = []
     for constraint in constraints:
-        lifted.append(
-            Constraint((Fraction(0),) + tuple(constraint.coeffs), constraint.const)
-        )
-    obj = [Fraction(c) for c in objective_coeffs]
-    lifted.append(
-        Constraint((Fraction(1),) + tuple(-c for c in obj), -Fraction(objective_const))
-    )
-    lifted.append(
-        Constraint((Fraction(-1),) + tuple(obj), Fraction(objective_const))
-    )
+        lifted.append(Constraint((0,) + tuple(constraint.coeffs), constraint.const))
+    obj = tuple(Fraction(c) for c in objective_coeffs)
+    const = Fraction(objective_const)
+    lifted.append(Constraint((1,) + tuple(-c for c in obj), -const))
+    lifted.append(Constraint((-1,) + obj, const))
     levels = eliminate(lifted, num_vars=width + 1)
     t_level = levels[0]
     if not t_level.uppers:

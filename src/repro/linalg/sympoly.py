@@ -8,7 +8,9 @@ parameters, the processor count and the processor id that are derived
 once per program and then merely *evaluated* per cell.
 
 A :class:`SymExpr` is a normalized multivariate polynomial with exact
-:class:`~fractions.Fraction` coefficients whose variables are either
+rational coefficients — a plain ``int`` whenever the coefficient is
+integral, a :class:`~fractions.Fraction` only otherwise (Faulhaber power
+sums introduce the only non-integral ones) — whose variables are either
 plain symbols (``"N"``, ``"P"``, ``"p"``) or *atoms* — the non-polynomial
 building blocks of integer counting:
 
@@ -107,7 +109,7 @@ class _Atom:
         )
         return (_interned, (type(self),) + fields)
 
-    def evaluate(self, env: Mapping[str, int], memo: Dict) -> Fraction:
+    def evaluate(self, env: Mapping[str, int], memo: Dict) -> "_Coeff":
         raise NotImplementedError
 
     def depends_on(self, name: str) -> bool:
@@ -430,23 +432,39 @@ def _base_sort_key(base: _Base) -> Tuple:
 _Monomial = Tuple[Tuple[_Base, int], ...]
 
 
+_Coeff = Union[int, Fraction]
+
+
+def _term_sort_key(item) -> Tuple:
+    return tuple((_base_sort_key(base), exp) for base, exp in item[0])
+
+
+def _mono_sort_key(item) -> Tuple:
+    return _base_sort_key(item[0])
+
+
 class SymExpr:
-    """A normalized polynomial over symbols and atoms (Fraction coeffs)."""
+    """A normalized polynomial over symbols and atoms.
+
+    Coefficients are ``int`` when integral and :class:`Fraction` only
+    when not, so the derivation's hot arithmetic stays on machine ints.
+    """
 
     __slots__ = ("_terms", "_hashv", "_symbols", "_binders", "_plan")
 
-    _terms: Tuple[Tuple[_Monomial, Fraction], ...]
+    _terms: Tuple[Tuple[_Monomial, _Coeff], ...]
 
-    def __init__(self, terms: Dict[_Monomial, Fraction]) -> None:
-        clean = tuple(
-            sorted(
-                ((mono, coeff) for mono, coeff in terms.items() if coeff),
-                key=lambda item: tuple(
-                    (_base_sort_key(base), exp) for base, exp in item[0]
-                ),
-            )
-        )
-        object.__setattr__(self, "_terms", clean)
+    def __init__(self, terms: Dict[_Monomial, _Coeff]) -> None:
+        clean = []
+        for mono, coeff in terms.items():
+            if not coeff:
+                continue
+            if type(coeff) is not int and coeff.denominator == 1:
+                coeff = coeff.numerator
+            clean.append((mono, coeff))
+        if len(clean) > 1:
+            clean.sort(key=_term_sort_key)
+        object.__setattr__(self, "_terms", tuple(clean))
         object.__setattr__(self, "_hashv", None)
         object.__setattr__(self, "_symbols", None)
         object.__setattr__(self, "_binders", None)
@@ -454,16 +472,16 @@ class SymExpr:
 
     # -- construction helpers ------------------------------------------
     @staticmethod
-    def _const(value) -> "SymExpr":
-        return SymExpr({(): Fraction(value)})
+    def _const(value: _Coeff) -> "SymExpr":
+        return SymExpr({(): value})
 
     @staticmethod
     def _symbol(name: str) -> "SymExpr":
-        return SymExpr({((name, 1),): Fraction(1)})
+        return SymExpr({((name, 1),): 1})
 
     @staticmethod
     def _atom(atom: _Atom) -> "SymExpr":
-        return SymExpr({((_intern(atom), 1),): Fraction(1)})
+        return SymExpr({((_intern(atom), 1),): 1})
 
     @staticmethod
     def _coerce(value) -> "SymExpr":
@@ -477,11 +495,11 @@ class SymExpr:
     def is_const(self) -> bool:
         return all(mono == () for mono, _ in self._terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> _Coeff:
         for mono, coeff in self._terms:
             if mono == ():
                 return coeff
-        return Fraction(0)
+        return 0
 
     def depends_on(self, name: str) -> bool:
         return name in self.free_symbols()
@@ -519,7 +537,7 @@ class SymExpr:
                     yield base
 
     def integer_coeffs(self) -> bool:
-        return all(coeff.denominator == 1 for _mono, coeff in self._terms)
+        return all(type(coeff) is int for _mono, coeff in self._terms)
 
     def term_count(self) -> int:
         count = len(self._terms)
@@ -549,18 +567,19 @@ class SymExpr:
 
     def __mul__(self, other) -> "SymExpr":
         other = SymExpr._coerce(other)
-        terms: Dict[_Monomial, Fraction] = {}
+        terms: Dict[_Monomial, _Coeff] = {}
         for mono_a, coeff_a in self._terms:
             for mono_b, coeff_b in other._terms:
-                powers: Dict[_Base, int] = {}
-                for base, exp in mono_a:
-                    powers[base] = powers.get(base, 0) + exp
-                for base, exp in mono_b:
-                    powers[base] = powers.get(base, 0) + exp
-                mono = tuple(
-                    sorted(powers.items(), key=lambda kv: _base_sort_key(kv[0]))
-                )
-                terms[mono] = terms.get(mono, Fraction(0)) + coeff_a * coeff_b
+                if not mono_a:
+                    mono = mono_b
+                elif not mono_b:
+                    mono = mono_a
+                else:
+                    powers: Dict[_Base, int] = dict(mono_a)
+                    for base, exp in mono_b:
+                        powers[base] = powers.get(base, 0) + exp
+                    mono = tuple(sorted(powers.items(), key=_mono_sort_key))
+                terms[mono] = terms.get(mono, 0) + coeff_a * coeff_b
         return SymExpr(terms)
 
     __rmul__ = __mul__
@@ -661,54 +680,73 @@ class SymExpr:
     # -- substitution ---------------------------------------------------
     def subs(self, name: str, replacement: "SymExpr") -> "SymExpr":
         """Substitute ``name := replacement`` (rebuilding atoms exactly)."""
+        return self._subs(name, SymExpr._coerce(replacement), {})
+
+    def _subs(
+        self, name: str, replacement: "SymExpr", memo: Dict[_Atom, "SymExpr"]
+    ) -> "SymExpr":
+        """:meth:`subs` sharing ``memo`` — rewritten binder-free atoms —
+        across the whole substitution, nested atom arguments included."""
         if not self.depends_on(name):
             return self
-        replacement = SymExpr._coerce(replacement)
-        terms: Dict[_Monomial, Fraction] = {}
+        terms: Dict[_Monomial, _Coeff] = {}
         for mono, coeff in self._terms:
             term = SymExpr._const(coeff)
             for base, exp in mono:
                 if isinstance(base, str):
                     factor = replacement if base == name else SymExpr._symbol(base)
                 else:
-                    factor = SymExpr._atom_subs(base, name, replacement)
+                    factor = SymExpr._atom_subs(base, name, replacement, memo)
                 for _ in range(exp):
                     term = term * factor
             _accumulate(terms, term)
         return SymExpr(terms)
 
     @staticmethod
-    def _atom_subs(atom: _Atom, name: str, replacement: "SymExpr") -> "SymExpr":
+    def _atom_subs(
+        atom: _Atom, name: str, replacement: "SymExpr",
+        memo: Dict[_Atom, "SymExpr"],
+    ) -> "SymExpr":
         if not atom.depends_on(name):
             return SymExpr._atom(atom)
+        # Only binder-free atoms are memoized: rewriting a sum may draw
+        # a fresh binder name, and every occurrence must draw its own in
+        # the same order as an unmemoized substitution would.
+        cached = memo.get(atom)
+        if cached is not None:
+            return cached
         if isinstance(atom, Mod):
             modulus = atom.modulus
             if _modulus_depends(modulus, name):
-                modulus = modulus.subs(name, replacement)
-            return mod(atom.arg.subs(name, replacement), modulus)
-        if isinstance(atom, FloorDiv):
+                modulus = modulus._subs(name, replacement, memo)
+            result = mod(atom.arg._subs(name, replacement, memo), modulus)
+        elif isinstance(atom, FloorDiv):
             modulus = atom.modulus
             if _modulus_depends(modulus, name):
-                modulus = modulus.subs(name, replacement)
-            return floordiv(atom.arg.subs(name, replacement), modulus)
-        if isinstance(atom, Pos):
-            return pos(atom.arg.subs(name, replacement))
-        if isinstance(atom, Ge0):
-            return ge0(atom.arg.subs(name, replacement))
-        if isinstance(atom, BoundedSum):
+                modulus = modulus._subs(name, replacement, memo)
+            result = floordiv(atom.arg._subs(name, replacement, memo), modulus)
+        elif isinstance(atom, Pos):
+            result = pos(atom.arg._subs(name, replacement, memo))
+        elif isinstance(atom, Ge0):
+            result = ge0(atom.arg._subs(name, replacement, memo))
+        elif isinstance(atom, BoundedSum):
             if name == atom.var:
                 return SymExpr._atom(atom)
             var, body = _unbind(atom, replacement)
             return bounded_sum(
                 var,
-                atom.bound.subs(name, replacement),
-                body.subs(name, replacement),
+                atom.bound._subs(name, replacement, memo),
+                body._subs(name, replacement, memo),
             )
-        raise SymbolicUnsupported(f"cannot substitute into {atom!r}")
+        else:
+            raise SymbolicUnsupported(f"cannot substitute into {atom!r}")
+        if not atom.binders():
+            memo[atom] = result
+        return result
 
     def replace_atom(self, target: _Atom, replacement: "SymExpr") -> "SymExpr":
         """Replace every occurrence of ``target`` (even nested) by an expr."""
-        terms: Dict[_Monomial, Fraction] = {}
+        terms: Dict[_Monomial, _Coeff] = {}
         for mono, coeff in self._terms:
             term = SymExpr._const(coeff)
             for base, exp in mono:
@@ -755,14 +793,14 @@ class SymExpr:
         raise SymbolicUnsupported(f"cannot rewrite {atom!r}")
 
 
-def _accumulate(terms: Dict[_Monomial, Fraction], expr: SymExpr) -> None:
+def _accumulate(terms: Dict[_Monomial, _Coeff], expr: SymExpr) -> None:
     """Add the terms of ``expr`` into ``terms``.
 
     Summing many expressions into one dict and building one
     :class:`SymExpr` at the end sorts once instead of once per addition.
     """
     for mono, coeff in expr._terms:
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        terms[mono] = terms.get(mono, 0) + coeff
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +835,9 @@ def _modulus_norm(modulus):
     modulus = SymExpr._coerce(modulus)
     if modulus.is_const():
         value = modulus.const_value()
-        if value.denominator != 1 or value <= 0:
+        if type(value) is not int or value <= 0:
             raise SymbolicUnsupported(f"bad modulus {value}")
-        return value.numerator
+        return value
     return modulus
 
 
@@ -820,19 +858,19 @@ def _split_divisible(expr: SymExpr, modulus) -> Tuple[SymExpr, SymExpr]:
         mod_powers: Dict[_Base, int] = {}
     elif len(modulus._terms) == 1:
         mono, mcoeff = modulus._terms[0]
-        if mcoeff.denominator != 1 or mcoeff <= 0:
+        if type(mcoeff) is not int or mcoeff <= 0:
             return SymExpr({}), expr
-        mod_coeff = mcoeff.numerator
+        mod_coeff = mcoeff
         mod_powers = dict(mono)
     else:
         return SymExpr({}), expr
-    quotient: Dict[_Monomial, Fraction] = {}
-    remainder: Dict[_Monomial, Fraction] = {}
+    quotient: Dict[_Monomial, _Coeff] = {}
+    remainder: Dict[_Monomial, _Coeff] = {}
     for mono2, coeff in expr._terms:
         powers = dict(mono2)
         if (
-            coeff.denominator == 1
-            and coeff.numerator % mod_coeff == 0
+            type(coeff) is int
+            and coeff % mod_coeff == 0
             and all(powers.get(base, 0) >= exp for base, exp in mod_powers.items())
         ):
             for base, exp in mod_powers.items():
@@ -840,12 +878,10 @@ def _split_divisible(expr: SymExpr, modulus) -> Tuple[SymExpr, SymExpr]:
             reduced = tuple(
                 sorted(
                     ((b, e) for b, e in powers.items() if e),
-                    key=lambda kv: _base_sort_key(kv[0]),
+                    key=_mono_sort_key,
                 )
             )
-            quotient[reduced] = (
-                quotient.get(reduced, Fraction(0)) + coeff / mod_coeff
-            )
+            quotient[reduced] = quotient.get(reduced, 0) + coeff // mod_coeff
         else:
             remainder[mono2] = coeff
     return SymExpr(quotient), SymExpr(remainder)
@@ -865,16 +901,16 @@ def mod(expr, modulus) -> SymExpr:
         return SymExpr({})
     _quotient, remainder = _split_divisible(expr, modulus)
     if isinstance(modulus, int):
-        reduced: Dict[_Monomial, Fraction] = {}
+        reduced: Dict[_Monomial, _Coeff] = {}
         for mono, coeff in remainder._terms:
-            folded = Fraction(coeff.numerator % modulus)
+            folded = coeff % modulus
             if folded:
                 reduced[mono] = folded
         remainder = SymExpr(reduced)
     if not remainder._terms:
         return SymExpr({})
     if remainder.is_const() and isinstance(modulus, int):
-        return SymExpr._const(remainder.const_value().numerator % modulus)
+        return SymExpr._const(remainder.const_value() % modulus)
     if len(remainder._terms) == 1:
         mono, coeff = remainder._terms[0]
         if coeff == 1 and len(mono) == 1 and mono[0][1] == 1:
@@ -899,7 +935,7 @@ def floordiv(expr, modulus) -> SymExpr:
         return quotient
     if remainder.is_const() and isinstance(modulus, int):
         return quotient + SymExpr._const(
-            remainder.const_value().numerator // modulus
+            remainder.const_value() // modulus
         )
     return quotient + SymExpr._atom(FloorDiv(remainder, modulus))
 
@@ -993,15 +1029,15 @@ def bounded_sum(var: str, bound, body) -> SymExpr:
     if not body.depends_on(var):
         if bound.is_const():
             value = bound.const_value()
-            if value.denominator != 1:
+            if type(value) is not int:
                 raise SymbolicUnsupported(f"non-integral sum bound {value}")
-            return body * max(0, value.numerator)
+            return body * max(0, value)
         return body * pos(bound)
     if bound.is_const():
         value = bound.const_value()
-        if value.denominator != 1:
+        if type(value) is not int:
             raise SymbolicUnsupported(f"non-integral sum bound {value}")
-        count = max(0, value.numerator)
+        count = max(0, value)
         if count <= 16:
             total = SymExpr({})
             for point in range(count):
@@ -1016,14 +1052,16 @@ def bounded_sum(var: str, bound, body) -> SymExpr:
 # Faulhaber power sums
 # ---------------------------------------------------------------------------
 
-_POWER_SUM_CACHE: Dict[int, Tuple[Fraction, ...]] = {}
+_POWER_SUM_CACHE: Dict[int, Tuple[_Coeff, ...]] = {}
 
 
-def _power_sum_coeffs(k: int) -> Tuple[Fraction, ...]:
+def _power_sum_coeffs(k: int) -> Tuple[_Coeff, ...]:
     """Coefficients ``c[j]`` with ``sum(q**k for q in [0,T)) = sum c[j]*T**j``.
 
     Derived through the binomial basis: ``q**k = sum_j S(k,j) * j! * C(q,j)``
-    and ``sum_{q<T} C(q,j) = C(T, j+1)`` — all exact rational arithmetic.
+    and ``sum_{q<T} C(q,j) = C(T, j+1)`` — integer arithmetic up to the
+    one division by ``(j+1)!``, the only source of non-integral
+    coefficients in a derived form.
     """
     cached = _POWER_SUM_CACHE.get(k)
     if cached is not None:
@@ -1031,31 +1069,33 @@ def _power_sum_coeffs(k: int) -> Tuple[Fraction, ...]:
     if k > 16:
         raise SymbolicUnsupported(f"power sum degree {k} too large")
     # Stirling numbers of the second kind S(k, j).
-    stirling = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
-    stirling[0][0] = Fraction(1)
+    stirling = [[0] * (k + 1) for _ in range(k + 1)]
+    stirling[0][0] = 1
     for n in range(1, k + 1):
         for j in range(1, n + 1):
             stirling[n][j] = j * stirling[n - 1][j] + stirling[n - 1][j - 1]
-    coeffs = [Fraction(0)] * (k + 2)
+    coeffs: List[_Coeff] = [0] * (k + 2)
     for j in range(k + 1):
         if stirling[k][j] == 0:
             continue
-        factorial = Fraction(1)
+        factorial = 1
         for i in range(1, j + 1):
             factorial *= i
         weight = stirling[k][j] * factorial
         # C(T, j+1) = T(T-1)...(T-j) / (j+1)! as a polynomial in T.
-        poly = [Fraction(1)]
+        poly = [1]
         for i in range(j + 1):
-            nxt = [Fraction(0)] * (len(poly) + 1)
+            nxt = [0] * (len(poly) + 1)
             for d, c in enumerate(poly):
                 nxt[d + 1] += c
                 nxt[d] -= c * i
             poly = nxt
         denominator = factorial * (j + 1)
         for d, c in enumerate(poly):
-            coeffs[d] += weight * c / denominator
-    result = tuple(coeffs)
+            coeffs[d] += Fraction(weight * c, denominator)
+    result = tuple(
+        c.numerator if c.denominator == 1 else c for c in coeffs
+    )
     _POWER_SUM_CACHE[k] = result
     return result
 
@@ -1143,13 +1183,13 @@ def _signed_slope(slope: SymExpr, positive: frozenset):
     """
     if slope.is_const():
         value = slope.const_value()
-        if value.denominator != 1 or value == 0:
+        if type(value) is not int or value == 0:
             return None
-        return (1 if value > 0 else -1), abs(value.numerator)
+        return (1 if value > 0 else -1), abs(value)
     if len(slope._terms) != 1:
         return None
     mono, coeff = slope._terms[0]
-    if coeff.denominator != 1:
+    if type(coeff) is not int:
         return None
     for base, _exp in mono:
         if not (isinstance(base, str) and base in positive):
@@ -1333,8 +1373,8 @@ def _swap_bounded_sum(
         raise SymbolicUnsupported(
             f"summation variable in inner sum bound {atom!r}"
         )
-    with_atom: Dict[_Monomial, Fraction] = {}
-    without: Dict[_Monomial, Fraction] = {}
+    with_atom: Dict[_Monomial, _Coeff] = {}
+    without: Dict[_Monomial, _Coeff] = {}
     for mono, coeff in expr._terms:
         if any(base == atom for base, _exp in mono):
             with_atom[mono] = coeff

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import time
 from collections import OrderedDict
 from dataclasses import astuple
 from typing import Mapping, Optional
@@ -136,6 +137,8 @@ class SimulationCache:
         self.kernel_hits = 0
         self.form_derives = 0
         self.form_hits = 0
+        #: Wall seconds spent in :meth:`form` factories (derivations).
+        self.form_build_s = 0.0
         if store_dir:
             os.makedirs(store_dir, exist_ok=True)
 
@@ -276,7 +279,9 @@ class SimulationCache:
             self._forms.move_to_end(key)
             self.form_hits += 1
             return self._forms[key]
+        start = time.perf_counter()
         value = factory()
+        self.form_build_s += time.perf_counter() - start
         self._forms[key] = value
         self.form_derives += 1
         while len(self._forms) > self.FORM_MAX_ENTRIES:

@@ -135,13 +135,25 @@ def with_process_counters(metrics: Metrics) -> Metrics:
     table) and ``sympoly.intern_hits`` (built atoms it deduplicated) are
     process state, not per-run deltas, so they are added where a profile
     or ``/metricsz`` snapshot is rendered rather than recorded into a
-    sink that may be merged twice.
+    sink that may be merged twice.  So are the shared simulation cache's
+    artifact counters: ``sim.cache.form_derives``/``form_hits`` (tier-0
+    engines derived / reused), ``sim.cache.kernel_compiles``/
+    ``kernel_hits`` (accounting kernels compiled / reused) and the timer
+    ``sim.cache.form_build_s``, the wall time spent deriving forms.
     """
     from repro.linalg.sympoly import intern_counters
+    from repro.runtime.cache import shared_cache
 
+    cache = shared_cache()
+    counters = intern_counters()
+    for name in ("form_derives", "form_hits", "kernel_compiles", "kernel_hits"):
+        counters[f"sim.cache.{name}"] = getattr(cache, name)
     merged = Metrics()
     merged.merge(metrics)
-    merged.merge({"counters": intern_counters()})
+    merged.merge({
+        "counters": counters,
+        "timers": {"sim.cache.form_build_s": cache.form_build_s},
+    })
     return merged
 
 

@@ -217,6 +217,29 @@ class TestMetricsSnapshots:
         assert "cache_hits" in text
         assert text.startswith("pipeline profile")
 
+    def test_process_counters_carry_cache_artifacts(self, gemm_node):
+        from repro.runtime import set_shared_cache, shared_cache
+        from repro.runtime.metrics import with_process_counters
+
+        previous = shared_cache()
+        cache = set_shared_cache(SimulationCache())
+        try:
+            for processors in (2, 3):
+                simulate(gemm_node, processors=processors, engine="symbolic")
+            metrics = Metrics()
+            merged = with_process_counters(metrics).to_dict()
+        finally:
+            set_shared_cache(previous)
+        counters = merged["counters"]
+        assert counters["sim.cache.form_derives"] == cache.form_derives == 1
+        assert counters["sim.cache.form_hits"] == cache.form_hits >= 1
+        assert counters["sim.cache.kernel_compiles"] == cache.kernel_compiles
+        assert counters["sim.cache.kernel_hits"] == cache.kernel_hits
+        build_s = merged["timers"]["sim.cache.form_build_s"]
+        assert build_s == cache.form_build_s > 0.0
+        # The caller's own sink is not touched.
+        assert metrics.to_dict() == {"counters": {}, "timers": {}}
+
 
 class TestSimulateTask:
     def test_matches_direct_simulate(self, gemm_node):

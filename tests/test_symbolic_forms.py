@@ -10,9 +10,11 @@ validation, true-LRU disk eviction, HTTP-date ``Retry-After``).
 """
 
 import copy
+import hashlib
 import json
 import os
 import pickle
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -61,6 +63,69 @@ EXAMPLES = os.path.join(REPO_ROOT, "examples", "programs")
 def _example_source(name):
     with open(os.path.join(EXAMPLES, name), "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+# ----------------------------------------------------------------------
+# golden derivation output
+# ----------------------------------------------------------------------
+#: sha256 of ``repr(engine.forms)`` + ``engine.evaluator().source`` per
+#: node.  Regenerate only together with a ``FORM_SCHEMA`` bump:
+#:
+#:     PYTHONHASHSEED=0 PYTHONPATH=src python tests/test_symbolic_forms.py \
+#:         --write-golden-forms
+GOLDEN_FORMS = os.path.join(REPO_ROOT, "tests", "golden_forms.json")
+
+
+def golden_form_digests():
+    """Digest every pinned node's derived forms and fused source.
+
+    Atom sort indices and binder names follow the order atoms are first
+    built in a process, so the digests are only comparable when taken in
+    a fresh interpreter that derives exactly these nodes in this order.
+    """
+    nodes = dict(gemm_variants(400))
+    nodes.update(syr2k_variants(400, 48))
+    for filename in sorted(os.listdir(EXAMPLES)):
+        if not filename.endswith(".an"):
+            continue
+        program = parse_program(_example_source(filename), name=filename)
+        normalized = access_normalize(program).transformed
+        nodes[f"{filename}:naive"] = generate_spmd(
+            program, block_transfers=False
+        )
+        nodes[f"{filename}:normalized"] = generate_spmd(
+            normalized, block_transfers=False
+        )
+    digests = {}
+    for name, node in nodes.items():
+        try:
+            engine = SymbolicEngine(node)
+        except SymbolicUnsupported:
+            digests[name] = None
+            continue
+        digest = hashlib.sha256(repr(engine.forms).encode("utf-8"))
+        digest.update(engine.evaluator().source.encode("utf-8"))
+        digests[name] = digest.hexdigest()
+    return digests
+
+
+def test_derived_forms_match_golden():
+    from repro.numa.symbolic import FORM_SCHEMA
+
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "0"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    output = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--print-golden-forms"],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    ).stdout
+    with open(GOLDEN_FORMS, "r", encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert golden["form_schema"] == FORM_SCHEMA
+    assert json.loads(output) == golden["digests"]
 
 
 # ----------------------------------------------------------------------
@@ -841,3 +906,23 @@ class TestFusedEvaluator:
                     fused.source, artifact="form", program=name
                 )
                 assert diagnostics == [], (name, diagnostics)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--print-golden-forms"]:
+        print(json.dumps(golden_form_digests(), sort_keys=True))
+    elif sys.argv[1:] == ["--write-golden-forms"]:
+        from repro.numa.symbolic import FORM_SCHEMA
+
+        payload = {
+            "form_schema": FORM_SCHEMA,
+            "digests": golden_form_digests(),
+        }
+        with open(GOLDEN_FORMS, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    else:
+        sys.exit(
+            "usage: test_symbolic_forms.py "
+            "{--print-golden-forms,--write-golden-forms}"
+        )
