@@ -427,23 +427,19 @@ def certify_node(node: "NodeProgram") -> Optional[FormCertificate]:
     by the node fingerprint, so a sweep (or a fuzz campaign revisiting a
     shrunken program) certifies each distinct node program once.
     """
-    from repro.numa.simulator import _cached_form
+    from repro.numa import simulator
     from repro.numa.symbolic import FORM_SCHEMA
     from repro.runtime.cache import node_fingerprint, shared_cache
 
-    status = _cached_form(node)
-    if status[0] != "ok":
+    fingerprint = node_fingerprint(node)
+    status, engine = simulator.node_artifact("form", node, fingerprint=fingerprint)
+    if status != "ok":
         return None
-    engine = status[1]
     # FORM_SCHEMA in the key: a certificate proves one derivation
     # schema's forms; it must not vouch for a newer one from a shared
     # store.
-    key = node_fingerprint(node) + f"|symcert:{FORM_SCHEMA}"
-
-    def factory() -> FormCertificate:
-        return certify_engine(engine)
-
-    cert = shared_cache().form(key, factory)
+    key = fingerprint + f"|symcert:{FORM_SCHEMA}"
+    cert = shared_cache().artifact("cert", key, lambda: certify_engine(engine))
     assert isinstance(cert, FormCertificate)
     return cert
 
@@ -461,25 +457,24 @@ class FormsPass:
         node = context.node
         if node is None:
             return []
-        from repro.numa.simulator import _cached_form
+        from repro.numa import simulator
 
         diagnostics: List[Diagnostic] = []
         program_name = node.program.name
-        status = _cached_form(node)
-        if status[0] != "ok":
+        status, engine = simulator.node_artifact("form", node)
+        if status != "ok":
             diagnostics.append(
                 Diagnostic(
                     "FORM006",
                     Severity.INFO,
-                    f"symbolic tier unavailable for this nest: {status[1]}",
+                    f"symbolic tier unavailable for this nest: {engine}",
                     Span(program=program_name),
                 )
             )
             return diagnostics
-        engine = status[1]
         self._check_symbols(engine, program_name, diagnostics)
         self._check_atoms(engine, program_name, diagnostics)
-        self._check_cost(engine, program_name, diagnostics)
+        self._check_cost(node, program_name, diagnostics)
         self._check_certificate(node, program_name, diagnostics)
         return diagnostics
 
@@ -557,26 +552,31 @@ class FormsPass:
     # ------------------------------------------------------------------
     def _check_cost(
         self,
-        engine: "SymbolicEngine",
+        node: "NodeProgram",
         program_name: str,
         diagnostics: List[Diagnostic],
     ) -> None:
-        from repro.numa.simulator import SYMBOLIC_COST_CEILING
+        """FORM003 exactly when ``auto`` would demote the form here."""
+        from repro.numa.simulator import choose_tier
 
-        env = engine.node.program.bound_params(None)
-        cost = engine.estimate_cost(dict(env), CERT_MAX_PROCS)
-        if cost > SYMBOLIC_COST_CEILING:
-            diagnostics.append(
-                Diagnostic(
-                    "FORM003",
-                    Severity.WARNING,
-                    f"residual BoundedSum loops put form evaluation at "
-                    f"~{cost} flat ops under the default parameters "
-                    f"(auto ceiling {SYMBOLIC_COST_CEILING}); the auto "
-                    "engine will demote this nest to the closed-form tier",
-                    Span(program=program_name, reference="forms"),
+        choice = choose_tier(
+            node, processors=CERT_MAX_PROCS, params=None, engine="auto",
+            mode="account", block_cache=False,
+        )
+        for skip in choice.skips:
+            if skip.tier == "symbolic" and skip.reason == "cost-ceiling":
+                diagnostics.append(
+                    Diagnostic(
+                        "FORM003",
+                        Severity.WARNING,
+                        f"residual BoundedSum loops put form evaluation at "
+                        f"~{skip.detail} flat ops under the default "
+                        "parameters, over the auto cost ceiling; the auto "
+                        f"engine will demote this nest to the {choice.tier} "
+                        "tier",
+                        Span(program=program_name, reference="forms"),
+                    )
                 )
-            )
 
     # ------------------------------------------------------------------
     def _check_certificate(

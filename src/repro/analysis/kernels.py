@@ -391,15 +391,15 @@ class KernelPass:
         node = context.node
         if node is None:
             return []
-        from repro.numa.simulator import _cached_form, _cached_kernel
+        from repro.numa import simulator
 
         diagnostics: List[Diagnostic] = []
         program_name = node.program.name
-        kernel_status = _cached_kernel(node, False)
-        if kernel_status[0] == "ok":
+        status, kernel = simulator.node_artifact("kernel", node)
+        if status == "ok":
             diagnostics.extend(
                 sanitize_generated_source(
-                    kernel_status[1].source,
+                    kernel.source,
                     artifact="kernel",
                     program=program_name,
                     expected=expected_ownership(node),
@@ -411,15 +411,15 @@ class KernelPass:
                     "KERN005",
                     Severity.INFO,
                     f"compiled accounting kernel unavailable for this "
-                    f"nest: {kernel_status[1]}",
+                    f"nest: {kernel}",
                     Span(program=program_name, reference="kernel"),
                 )
             )
-        form_status = _cached_form(node)
-        if form_status[0] == "ok":
+        status, form = simulator.node_artifact("form", node)
+        if status == "ok":
             diagnostics.extend(
                 sanitize_generated_source(
-                    form_status[1].evaluator().source,
+                    form.evaluator().source,
                     artifact="form",
                     program=program_name,
                     expected=None,

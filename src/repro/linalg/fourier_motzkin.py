@@ -214,20 +214,54 @@ def eliminate_with_projections(
         levels[var] = LevelBounds(var=var, lowers=tuple(lowers), uppers=tuple(uppers))
 
         # Combine each (positive, negative) pair to eliminate the variable.
-        combined: List[Constraint] = list(neutral)
-        for pos in positive:
-            for neg in negative:
-                a_pos = pos.coeffs[var]
-                a_neg = -neg.coeffs[var]
-                coeffs = tuple(
-                    a_neg * cp + a_pos * cn for cp, cn in zip(pos.coeffs, neg.coeffs)
-                )
-                const = a_neg * pos.const + a_pos * neg.const
-                combined.append(Constraint(coeffs, const))
+        combined = neutral + [
+            _combine(pos, neg, var) for pos in positive for neg in negative
+        ]
         active = _dedup(combined)
         projections[var] = list(active)
 
     return levels, projections
+
+
+def _combine(pos: Constraint, neg: Constraint, var: int) -> Constraint:
+    """The row without ``var`` implied by a lower and an upper row on it."""
+    a_pos = pos.coeffs[var]
+    a_neg = -neg.coeffs[var]
+    coeffs = tuple(a_neg * cp + a_pos * cn for cp, cn in zip(pos.coeffs, neg.coeffs))
+    return Constraint(coeffs, a_neg * pos.const + a_pos * neg.const)
+
+
+def _project_to_first(
+    constraints: Sequence[Constraint], num_vars: int
+) -> List[Constraint]:
+    """The rows over variable 0 alone once variables ``1 .. num_vars-1``
+    are eliminated, pruned by Chernikov's rule: after ``k`` eliminations
+    a row combining more than ``k + 1`` input rows (its history bitmask)
+    is implied by the others, so dropping it keeps the projection and
+    its emptiness exact.  Unpruned, six rows over four variables can
+    grow to tens of thousands of rows per level."""
+    def keep(rows) -> dict:
+        kept: dict = {}
+        for row, history in rows:
+            normal = row.normalized()
+            if normal.is_contradiction():
+                raise InfeasibleSystemError("constraint system is infeasible")
+            if not normal.is_trivial():
+                kept.setdefault(normal, history)
+        return kept
+
+    active = keep((row, 1 << index) for index, row in enumerate(constraints))
+    for eliminated, var in enumerate(range(num_vars - 1, 0, -1), start=1):
+        rows = [(row, h) for row, h in active.items() if row.coeffs[var] == 0]
+        positive = [(row, h) for row, h in active.items() if row.coeffs[var] > 0]
+        negative = [(row, h) for row, h in active.items() if row.coeffs[var] < 0]
+        for pos, pos_history in positive:
+            for neg, neg_history in negative:
+                history = pos_history | neg_history
+                if bin(history).count("1") <= eliminated + 1:
+                    rows.append((_combine(pos, neg, var), history))
+        active = keep(rows)
+    return list(active)
 
 
 def maximize(
@@ -252,16 +286,15 @@ def maximize(
     const = Fraction(objective_const)
     lifted.append(Constraint((1,) + tuple(-c for c in obj), -const))
     lifted.append(Constraint((-1,) + obj, const))
-    levels = eliminate(lifted, num_vars=width + 1)
-    t_level = levels[0]
-    if not t_level.uppers:
+    rows = _project_to_first(lifted, num_vars=width + 1)
+    uppers = [Fraction(r.const, -r.coeffs[0]) for r in rows if r.coeffs[0] < 0]
+    if not uppers:
         return None
-    zeros = [0] * (width + 1)
     # Check feasibility: t must have some admissible value.
-    upper = t_level.upper_value(zeros)
-    if t_level.lowers and t_level.lower_value(zeros) > upper:
+    lowers = [Fraction(-r.const, r.coeffs[0]) for r in rows if r.coeffs[0] > 0]
+    if lowers and max(lowers) > min(uppers):
         raise InfeasibleSystemError("empty polyhedron")
-    return upper
+    return min(uppers)
 
 
 def implies_bound(
@@ -286,19 +319,3 @@ def implies_bound(
     except InfeasibleSystemError:
         return True  # empty region: anything holds
     return best is not None and best <= 0
-
-
-def constraints_from_bounds(
-    lower: Sequence[Sequence[Number]],
-    upper: Sequence[Sequence[Number]],
-) -> List[Constraint]:
-    """Helper to build constraints from raw coefficient rows.
-
-    Each entry of ``lower``/``upper`` is ``(coeffs..., const)``; a lower row
-    means ``coeffs . y + const >= 0`` already, an upper row is negated.
-    Provided mainly for tests.
-    """
-    result = [Constraint.make(row[:-1], row[-1]) for row in lower]
-    for row in upper:
-        result.append(Constraint.make([-c for c in row[:-1]], -Fraction(row[-1])))
-    return result

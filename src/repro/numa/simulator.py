@@ -23,9 +23,12 @@ Two modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from math import gcd, prod
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union,
+)
 
 from repro.codegen.locality import RefClass
 from repro.codegen.spmd import NodeProgram
@@ -87,6 +90,22 @@ class ProcessorResult:
 
 
 @dataclass(frozen=True)
+class TierSkip:
+    """A faster accounting tier that :func:`choose_tier` passed over.
+
+    ``reason`` is ``unsupported`` (the tier's artifact cannot be built
+    for this nest; ``detail`` is the builder's message),
+    ``cost-ceiling`` (the symbolic form's estimated per-processor cost
+    exceeds :data:`SYMBOLIC_COST_CEILING`; ``detail`` is that estimate)
+    or ``block-cache`` (the tier does not model the block cache).
+    """
+
+    tier: str
+    reason: str
+    detail: Union[str, int] = ""
+
+
+@dataclass(frozen=True)
 class SimulationResult:
     """The outcome of one simulated parallel execution."""
 
@@ -100,6 +119,9 @@ class SimulationResult:
     #: ``walk`` (tier 3).  All four are bit-identical on every count; the
     #: tier only affects speed.
     engine: str = "walk"
+    #: The faster tiers ``auto`` passed over, and why (counted as
+    #: ``sim.skip.<tier>.<reason>``); not in :meth:`to_dict`.
+    skips: Tuple[TierSkip, ...] = field(default=(), compare=False)
 
     @property
     def total_time_us(self) -> float:
@@ -523,13 +545,9 @@ class _ProcWalker:
                 # elements stay put; the rest arrive with one bulk message
                 # per remote owner.
                 return self._compile_gather(statement, distribution, shape)
-            probe_template = [
-                entry if entry is not None else None
-                for entry in statement.pattern
-            ]
             compiled_probe = [
                 _compile_affine(entry) if entry is not None else None
-                for entry in probe_template
+                for entry in statement.pattern
             ]
             cap, proc = self.P, self.p
             cache = self.block_cache
@@ -556,11 +574,10 @@ class _ProcWalker:
     def _compile_gather(self, statement: BlockRead, distribution, shape):
         """Closure for a whole-array gather (``read X[*]``-style)."""
         counts = self.counts
-        total_elements = 1
-        for extent in shape:
-            total_elements *= extent
-        owned = self._owned_elements(distribution, shape)
-        remote_elements = total_elements - owned
+        from repro.numa.counting import owned_elements
+
+        owned = owned_elements(distribution, shape, self.P, self.p)
+        remote_elements = prod(shape) - owned
         num_bytes = remote_elements * self.element_bytes.get(statement.array, 8)
         messages = min(self.P - 1, remote_elements)
         cache = self.block_cache
@@ -576,39 +593,6 @@ class _ProcWalker:
             counts.block_transfers += messages
             counts.block_bytes += num_bytes
         return run_gather
-
-    def _owned_elements(self, distribution, shape) -> int:
-        """How many elements of an array this processor owns."""
-        kind = type(distribution).__name__
-        dims = distribution.distribution_dims()
-        if not dims:
-            total = 1
-            for extent in shape:
-                total *= extent
-            return total
-        if len(dims) == 1 and kind in ("Wrapped", "Blocked"):
-            dim = dims[0]
-            extent = shape[dim]
-            if kind == "Wrapped":
-                mine = _count_congruent(1, 0, 0, 1, extent, self.P, self.p)
-            else:
-                block = -(-extent // self.P)
-                mine = max(
-                    0, min((self.p + 1) * block, extent) - self.p * block
-                )
-            rest = 1
-            for d, other in enumerate(shape):
-                if d != dim:
-                    rest *= other
-            return mine * rest
-        # Generic fallback: enumerate owners (small arrays only).
-        from itertools import product as _product
-
-        count = 0
-        for indices in _product(*(range(extent) for extent in shape)):
-            if distribution.owner(indices, self.P, shape) == self.p:
-                count += 1
-        return count
 
     # ------------------------------------------------------------------
     # ownership
@@ -701,12 +685,12 @@ class _ProcWalker:
                 counts.local += trips
                 continue
             if kind == "wrapped":
-                local = _count_congruent(
+                local = count_congruent(
                     slope, base, first, step, trips, self.P, self.p
                 )
             else:
                 block = -(-extent // self.P)
-                local = _count_in_interval(
+                local = count_in_interval(
                     slope, base, first, step, trips, self.p * block,
                     min((self.p + 1) * block - 1, extent - 1),
                 )
@@ -719,14 +703,6 @@ def _var(name: str):
     from repro.ir.affine import AffineExpr
 
     return AffineExpr.var(name)
-
-
-# The congruence/interval counting primitives now live in the linalg
-# substrate (repro.linalg.progression), where the closed-form multi-level
-# engine (repro.numa.counting) builds its per-level recurrences on top of
-# them.  The old private names stay importable for the walker and tests.
-_count_congruent = count_congruent
-_count_in_interval = count_in_interval
 
 
 def _scheduled_values(
@@ -790,60 +766,68 @@ ENGINES = ("auto", "symbolic", "closed-form", "compiled", "walk")
 #: ``engine="symbolic"`` bypasses the ceiling.
 SYMBOLIC_COST_CEILING = 16_000_000
 
-def _cached_form(node: NodeProgram):
-    """The tier-0 symbolic engine for ``node``, derived at most once.
+def node_artifact(
+    kind: str,
+    node: NodeProgram,
+    *,
+    block_cache: bool = False,
+    fingerprint: Optional[str] = None,
+) -> Tuple[str, object]:
+    """One accounting artifact of ``node``, built at most once.
 
-    Returns ``("ok", engine)`` or ``("error", reason)``; both outcomes
-    are memoized in the process-wide cache keyed by the node fingerprint
-    alone — the derived form is symbolic in ``(params, P, proc)``, so one
-    derivation answers every cell of a sweep.
+    ``kind`` is ``closed`` (the tier-1
+    :class:`~repro.numa.counting.ClosedFormEngine`), ``form`` (the tier-0
+    :class:`~repro.numa.symbolic.SymbolicEngine`, derived on the
+    ``closed`` artifact) or ``kernel`` (the tier-2 accounting kernel
+    for ``block_cache``).  Returns ``("ok", artifact)`` or ``("error",
+    reason)``, memoized in the process-wide
+    :class:`~repro.runtime.cache.SimulationCache` by node fingerprint.
     """
-    from repro.numa.symbolic import (
-        FORM_SCHEMA,
-        SymbolicEngine,
-        SymbolicUnsupported,
-    )
     from repro.runtime.cache import node_fingerprint, shared_cache
 
-    # FORM_SCHEMA in the key: an upgraded derivation/compilation schema
-    # must never read a stale pre-upgrade engine from a shared store.
-    key = node_fingerprint(node) + f"|symform:{FORM_SCHEMA}"
+    fingerprint = fingerprint or node_fingerprint(node)
+    if kind == "closed":
+        from repro.numa.counting import ClosedFormEngine, ClosedFormUnsupported
+
+        key, failure = fingerprint, ClosedFormUnsupported
+
+        def build():
+            return ClosedFormEngine(node)
+    elif kind == "form":
+        from repro.numa.symbolic import (
+            FORM_SCHEMA,
+            SymbolicEngine,
+            SymbolicUnsupported,
+        )
+
+        key, failure = fingerprint + f"|symform:{FORM_SCHEMA}", SymbolicUnsupported
+
+        def build():
+            status, base = node_artifact("closed", node, fingerprint=fingerprint)
+            if status != "ok":
+                raise SymbolicUnsupported(base)
+            return SymbolicEngine(node, base=base)
+    elif kind == "kernel":
+        from repro.codegen.pycodegen import compile_accounting
+        from repro.errors import CodegenError
+
+        key, failure = fingerprint + f"|bc={int(bool(block_cache))}", CodegenError
+
+        def build():
+            return compile_accounting(node, block_cache=block_cache)
 
     def factory():
         try:
-            return ("ok", SymbolicEngine(node))
-        except SymbolicUnsupported as error:
+            return ("ok", build())
+        except failure as error:
             return ("error", str(error))
 
-    return shared_cache().form(key, factory)
-
-
-def _cached_kernel(node: NodeProgram, block_cache: bool):
-    """The tier-2 accounting kernel for ``node``, compiled at most once.
-
-    Returns ``("ok", kernel)`` or ``("error", CodegenError)``; both
-    outcomes are memoized in the process-wide
-    :class:`~repro.runtime.cache.SimulationCache` keyed by the node
-    fingerprint, so a sweep compiles each distinct node program once.
-    """
-    from repro.codegen.pycodegen import compile_accounting
-    from repro.errors import CodegenError
-    from repro.runtime.cache import node_fingerprint, shared_cache
-
-    key = node_fingerprint(node) + f"|kernel|bc={int(bool(block_cache))}"
-
-    def factory():
-        try:
-            return ("ok", compile_accounting(node, block_cache=block_cache))
-        except CodegenError as error:
-            return ("error", error)
-
-    return shared_cache().kernel(key, factory)
+    return shared_cache().artifact(kind, key, factory)
 
 
 def _run_kernel(
-    kernel, node: NodeProgram, env: Dict[str, int], processors: int,
-    proc: int, block_cache: bool,
+    kernel, node: NodeProgram, block_cache: bool, env: Dict[str, int],
+    processors: int, proc: int,
 ) -> AccessCounts:
     """Run the tier-2 kernel for one processor."""
     from repro.numa.counting import owned_elements
@@ -853,11 +837,8 @@ def _run_kernel(
     gathers = []
     for array in kernel.gather_arrays:
         shape = shapes[array]
-        total = 1
-        for extent in shape:
-            total *= extent
         distribution = program.distributions[array]
-        remote = total - owned_elements(distribution, shape, processors, proc)
+        remote = prod(shape) - owned_elements(distribution, shape, processors, proc)
         element_bytes = next(
             (d.element_bytes for d in program.arrays if d.name == array), 8
         )
@@ -866,6 +847,96 @@ def _run_kernel(
         )
     cache = set() if block_cache else None
     return AccessCounts(*kernel(env, processors, proc, shapes, gathers, cache))
+
+
+@dataclass(frozen=True)
+class TierChoice:
+    """The tier serving one cell: ``account(env, processors, proc)``
+    gives one processor's counts, ``skips`` the faster tiers passed over."""
+
+    tier: str
+    account: Callable[[Dict[str, int], int, int], AccessCounts]
+    skips: Tuple[TierSkip, ...] = ()
+
+
+#: The tiers faster than the walk, fastest first, with their artifacts.
+_FAST_TIERS = (("symbolic", "form"), ("closed-form", "closed"), ("compiled", "kernel"))
+
+
+def choose_tier(
+    node: NodeProgram,
+    *,
+    processors: int,
+    params: Optional[Mapping[str, int]],
+    engine: str,
+    mode: str,
+    block_cache: bool,
+    arrays: Optional[Dict] = None,
+) -> TierChoice:
+    """Decide which accounting tier serves one cell, and why.
+
+    ``auto`` takes the fastest tier that can serve the cell — the
+    symbolic per-program form (:mod:`repro.numa.symbolic`) unless its
+    estimated cost here exceeds :data:`SYMBOLIC_COST_CEILING`, the
+    closed-form engine (:mod:`repro.numa.counting`), the compiled kernel
+    (:func:`repro.codegen.pycodegen.compile_accounting`), the walk — and
+    records a :class:`TierSkip` for each tier it passes over.  Only the
+    kernel and the walk model the block cache; execute mode always walks
+    (on ``arrays``).  A forced tier that cannot serve the cell raises
+    :class:`~repro.errors.SimulationError`.
+    """
+    forced = engine in dict(_FAST_TIERS)
+    if mode != "account" and forced:
+        raise SimulationError(
+            f"engine {engine!r} only supports account mode; "
+            "execute mode always uses the walk engine"
+        )
+    if block_cache and engine in ("symbolic", "closed-form"):
+        raise SimulationError(
+            f"{engine} engine does not model the block cache; "
+            "use the compiled or walk engine"
+        )
+
+    def walk(env: Dict[str, int], processors: int, proc: int) -> AccessCounts:
+        return _ProcWalker(
+            node, env, processors, proc, mode, arrays, block_cache=block_cache
+        ).run()
+
+    if mode != "account" or engine == "walk":
+        return TierChoice("walk", walk)
+    from repro.runtime.cache import node_fingerprint
+
+    fingerprint = node_fingerprint(node)
+    skips: List[TierSkip] = []
+    for tier, kind in _FAST_TIERS:
+        if engine not in ("auto", tier):
+            continue
+        if block_cache and tier != "compiled":
+            skips.append(TierSkip(tier, "block-cache"))
+            continue
+        status, artifact = node_artifact(
+            kind, node, block_cache=block_cache, fingerprint=fingerprint
+        )
+        if status != "ok":
+            if forced:
+                raise SimulationError(
+                    f"{tier} engine cannot handle this nest: {artifact}"
+                )
+            skips.append(TierSkip(tier, "unsupported", artifact))
+            continue
+        if tier == "symbolic" and not forced:
+            cost = artifact.estimate_cost(
+                node.program.bound_params(params), processors
+            )
+            if cost > SYMBOLIC_COST_CEILING:
+                skips.append(TierSkip(tier, "cost-ceiling", cost))
+                continue
+        if tier == "compiled":
+            account = partial(_run_kernel, artifact, node, block_cache)
+        else:
+            account = artifact.account
+        return TierChoice(tier, account, tuple(skips))
+    return TierChoice("walk", walk, tuple(skips))
 
 
 def simulate(
@@ -890,18 +961,12 @@ def simulate(
     transferred again (communication hoisting across outer iterations) —
     an extension beyond the paper, exercised by the ABL7 ablation.
 
-    ``engine`` picks the accounting tier: ``auto`` (default) uses the
-    fastest tier that can handle the nest — the symbolic per-program form
-    (:mod:`repro.numa.symbolic`, derived once per node program and then
-    evaluated per cell), the closed-form multi-level engine
-    (:mod:`repro.numa.counting`), the compiled accounting kernel
-    (:func:`repro.codegen.pycodegen.compile_accounting`), or the
-    interpreter walk.  Forcing ``symbolic``, ``closed-form`` or
-    ``compiled`` raises a :class:`~repro.errors.SimulationError` when that
-    tier cannot handle the nest; all tiers are bit-identical on every
-    count (the tier equivalence tests and the fuzz oracle enforce this),
-    so ``auto`` never changes results, only speed.  The chosen tier is
-    reported as ``SimulationResult.engine``.
+    ``engine`` picks the accounting tier (see :func:`choose_tier`);
+    all tiers are bit-identical on every count (the tier equivalence
+    tests and the fuzz oracle enforce this), so ``auto`` never changes
+    results, only speed.  The chosen tier is reported as
+    ``SimulationResult.engine``, the tiers ``auto`` skipped as
+    ``SimulationResult.skips``.
     """
     if engine not in ENGINES:
         choices = ", ".join(ENGINES)
@@ -912,89 +977,20 @@ def simulate(
         raise SimulationError(f"unknown mode {mode!r}")
     if mode == "execute" and arrays is None:
         raise SimulationError("execute mode requires arrays")
-    if mode != "account" and engine in ("symbolic", "closed-form", "compiled"):
-        raise SimulationError(
-            f"engine {engine!r} only supports account mode; "
-            "execute mode always uses the walk engine"
-        )
     if processors <= 0:
         raise SimulationError("need at least one processor")
     machine = machine or butterfly_gp1000()
+    choice = choose_tier(
+        node, processors=processors, params=params, engine=engine,
+        mode=mode, block_cache=block_cache, arrays=arrays,
+    )
 
-    symbolic = None
-    closed = None
-    kernel = None
-    chosen = "walk"
-    if mode == "account" and engine != "walk":
-        if block_cache and engine in ("symbolic", "closed-form"):
-            raise SimulationError(
-                f"{engine} engine does not model the block cache; "
-                "use the compiled or walk engine"
-            )
-        if not block_cache and engine in ("auto", "symbolic"):
-            status, payload = _cached_form(node)
-            if status == "ok":
-                keep = engine == "symbolic" or (
-                    payload.estimate_cost(
-                        node.program.bound_params(params), processors
-                    )
-                    <= SYMBOLIC_COST_CEILING
-                )
-                if keep:
-                    symbolic = payload
-                    chosen = "symbolic"
-            elif engine == "symbolic":
-                raise SimulationError(
-                    f"symbolic engine cannot handle this nest: {payload}"
-                )
-        if symbolic is None and not block_cache and engine in (
-            "auto", "closed-form"
-        ):
-            from repro.numa.counting import (
-                ClosedFormEngine,
-                ClosedFormUnsupported,
-            )
-
-            try:
-                closed = ClosedFormEngine(node)
-                chosen = "closed-form"
-            except ClosedFormUnsupported as error:
-                if engine == "closed-form":
-                    raise SimulationError(
-                        f"closed-form engine cannot handle this nest: {error}"
-                    )
-        if symbolic is None and closed is None and engine in (
-            "auto", "compiled"
-        ):
-            status, payload = _cached_kernel(node, block_cache)
-            if status == "ok":
-                kernel = payload
-                chosen = "compiled"
-            elif engine == "compiled":
-                raise SimulationError(
-                    f"compiled engine cannot handle this nest: {payload}"
-                )
-
-    per_proc: List[ProcessorResult] = []
     all_counts: List[AccessCounts] = []
     for proc in range(processors):
         env = node.program.bound_params(params)
         env[node.procs_param] = processors
         env[node.proc_param] = proc
-        if symbolic is not None:
-            all_counts.append(symbolic.account(env, processors, proc))
-        elif closed is not None:
-            all_counts.append(closed.account(env, processors, proc))
-        elif kernel is not None:
-            all_counts.append(
-                _run_kernel(kernel, node, env, processors, proc, block_cache)
-            )
-        else:
-            walker = _ProcWalker(
-                node, env, processors, proc, mode, arrays,
-                block_cache=block_cache,
-            )
-            all_counts.append(walker.run())
+        all_counts.append(choice.account(env, processors, proc))
 
     multiplier = 1.0
     if machine.contention_coefficient > 0 and processors > 1:
@@ -1008,21 +1004,21 @@ def simulate(
         utilization = remote_traffic / (processors * makespan)
         multiplier = 1.0 + machine.contention_coefficient * (processors - 1) * utilization
 
-    for proc, counts in enumerate(all_counts):
-        per_proc.append(
-            ProcessorResult(
-                proc=proc,
-                counts=counts,
-                time_us=_time_us(counts, machine, multiplier),
-            )
+    per_proc = tuple(
+        ProcessorResult(
+            proc=proc, counts=counts,
+            time_us=_time_us(counts, machine, multiplier),
         )
+        for proc, counts in enumerate(all_counts)
+    )
     return SimulationResult(
         node_name=node.program.name,
         processors=processors,
         machine=machine,
-        per_proc=tuple(per_proc),
+        per_proc=per_proc,
         remote_multiplier=multiplier,
-        engine=chosen,
+        engine=choice.tier,
+        skips=choice.skips,
     )
 
 

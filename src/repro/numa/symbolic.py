@@ -31,7 +31,7 @@ greater than one (see ``ClosedFormEngine._innermost``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.codegen.spmd import NodeProgram
 from repro.linalg.sympoly import (
@@ -59,8 +59,8 @@ from repro.numa.simulator import AccessCounts
 __all__ = ["SymbolicEngine", "SymbolicUnsupported", "FIELDS", "FORM_SCHEMA"]
 
 #: Version of the derivation + compilation schema.  Cached artifacts
-#: keyed off a node fingerprint (the memoized engine in
-#: ``SimulationCache.form`` and the ``|symcert`` certificates) embed
+#: keyed off a node fingerprint (the ``form`` and ``cert`` artifacts
+#: of :meth:`~repro.runtime.cache.SimulationCache.artifact`) embed
 #: this so an upgraded derivation — new splits, new evaluator shapes —
 #: never reads a stale pre-upgrade entry from a shared store.  Bump it
 #: whenever the derived forms or their compiled evaluators change shape.
@@ -124,12 +124,13 @@ class SymbolicEngine:
     derivation and compiles one fused evaluator for all count fields —
     then call :meth:`account` once per ``(params, P, proc)`` cell.  Raises
     :class:`SymbolicUnsupported` from the constructor when the nest (or
-    its derivation) falls outside the symbolic fragment.
+    its derivation) falls outside the symbolic fragment.  ``base`` is
+    the node's closed-form engine when the caller already built it.
     """
 
-    def __init__(self, node: NodeProgram):
+    def __init__(self, node: NodeProgram, base: Optional[ClosedFormEngine] = None):
         try:
-            base = ClosedFormEngine(node)
+            base = base or ClosedFormEngine(node)
         except ClosedFormUnsupported as error:
             raise SymbolicUnsupported(str(error))
         self.node = node

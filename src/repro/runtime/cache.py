@@ -22,7 +22,7 @@ import pickle
 import time
 from collections import OrderedDict
 from dataclasses import astuple
-from typing import Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.codegen.spmd import NodeProgram
 from repro.errors import ConfigurationError
@@ -114,12 +114,10 @@ class SimulationCache:
     metrics sink, and the simulation simply re-runs.
     """
 
-    #: Cap on memoized accounting kernels (see :meth:`kernel`).
-    KERNEL_MAX_ENTRIES = 512
-
-    #: Cap on memoized symbolic engines (see :meth:`form`).  Forms are
-    #: per *program*, not per cell, so a handful covers a whole report.
-    FORM_MAX_ENTRIES = 128
+    #: Per-kind LRU caps of :meth:`artifact`.  Forms, closed-form
+    #: engines and form certificates are per *program*, not per cell, so
+    #: a handful covers a whole report.
+    ARTIFACT_MAX_ENTRIES = {"form": 128, "closed": 128, "cert": 128, "kernel": 512}
 
     def __init__(
         self,
@@ -131,14 +129,14 @@ class SimulationCache:
         self.store_dir = store_dir
         self.disk_max_entries = disk_max_entries
         self._memory: "OrderedDict[str, SimulationResult]" = OrderedDict()
-        self._kernels: "OrderedDict[str, object]" = OrderedDict()
-        self._forms: "OrderedDict[str, object]" = OrderedDict()
-        self.kernel_compiles = 0
-        self.kernel_hits = 0
-        self.form_derives = 0
-        self.form_hits = 0
-        #: Wall seconds spent in :meth:`form` factories (derivations).
-        self.form_build_s = 0.0
+        kinds = self.ARTIFACT_MAX_ENTRIES
+        self._artifacts: Dict[str, "OrderedDict[str, object]"] = {
+            kind: OrderedDict() for kind in kinds
+        }
+        #: Per kind: factory runs, memo hits and wall seconds in factories.
+        self.builds: Dict[str, int] = dict.fromkeys(kinds, 0)
+        self.hits: Dict[str, int] = dict.fromkeys(kinds, 0)
+        self.build_s: Dict[str, float] = dict.fromkeys(kinds, 0.0)
         if store_dir:
             os.makedirs(store_dir, exist_ok=True)
 
@@ -162,15 +160,10 @@ class SimulationCache:
             except OSError:
                 return None  # plain miss: entry was never written
             except Exception:
+                result = None
+            if not isinstance(result, SimulationResult):
                 # Truncated pickle, garbage bytes, or an entry written by an
                 # incompatible version: drop it and re-simulate.
-                global_metrics().count("cache.disk_corrupt")
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-                return None
-            if not isinstance(result, SimulationResult):
                 global_metrics().count("cache.disk_corrupt")
                 try:
                     os.remove(path)
@@ -237,62 +230,47 @@ class SimulationCache:
             except OSError:
                 pass
 
-    def kernel(self, key: str, factory):
-        """Memoize a compiled accounting kernel (memory-only, LRU).
+    def artifact(self, kind: str, key: str, factory):
+        """Memoize one artifact of a node program (memory-only LRU).
 
-        ``factory`` runs at most once per ``key``; its return value —
-        whatever shape the caller uses, e.g. the simulator's
-        ``("ok", kernel)`` / ``("error", exc)`` pair, so compilation
-        *failures* are also remembered — is stored and returned on every
-        later call.  Kernels are code objects: they are never pickled to
-        the disk store and are cheap to rebuild after a restart.
+        ``kind`` is ``closed`` (closed-form engine), ``form`` (tier-0
+        symbolic engine), ``kernel`` (compiled accounting kernel) or
+        ``cert`` (form certificate); each kind has its own table and
+        cap.  ``factory`` runs at most once per live ``key``; callers
+        return failures as values, so an unsupported nest is probed
+        once.  A factory that builds another kind (a form builds its
+        ``closed`` engine) counts those seconds under both kinds.  Keys
+        cover the program fingerprint, never the cell's ``(P, params)``;
+        keys of derivation products carry
+        :data:`repro.numa.symbolic.FORM_SCHEMA`, so a shared or
+        persistent backing could never serve a stale pre-upgrade entry.
         """
-        if key in self._kernels:
-            self._kernels.move_to_end(key)
-            self.kernel_hits += 1
-            return self._kernels[key]
-        value = factory()
-        self._kernels[key] = value
-        self.kernel_compiles += 1
-        while len(self._kernels) > self.KERNEL_MAX_ENTRIES:
-            self._kernels.popitem(last=False)
-        return value
-
-    def form(self, key: str, factory):
-        """Memoize a symbolic accounting engine (memory-only, LRU).
-
-        Like :meth:`kernel`, but for the tier-0 *symbolic form* of a node
-        program: the key covers only the program fingerprint — never the
-        cell's ``(P, params)`` — because the derived form is a function of
-        those.  One derivation answers every cell of a sweep.  Failures
-        (nests outside the symbolic fragment) are remembered too, so a
-        sweep probes each unsupported program once.
-
-        Callers caching derivation *products* (the engine itself, its
-        certificates) must suffix their key with
-        :data:`repro.numa.symbolic.FORM_SCHEMA` — e.g. ``"|symform:2"``
-        — so that if this cache ever gains a shared/persistent backing,
-        an upgraded derivation schema can never read a stale
-        pre-upgrade entry.
-        """
-        if key in self._forms:
-            self._forms.move_to_end(key)
-            self.form_hits += 1
-            return self._forms[key]
+        table = self._artifacts[kind]
+        if key in table:
+            table.move_to_end(key)
+            self.hits[kind] += 1
+            return table[key]
         start = time.perf_counter()
         value = factory()
-        self.form_build_s += time.perf_counter() - start
-        self._forms[key] = value
-        self.form_derives += 1
-        while len(self._forms) > self.FORM_MAX_ENTRIES:
-            self._forms.popitem(last=False)
+        self.build_s[kind] += time.perf_counter() - start
+        self.builds[kind] += 1
+        table[key] = value
+        while len(table) > self.ARTIFACT_MAX_ENTRIES[kind]:
+            table.popitem(last=False)
         return value
+
+    # The pre-``artifact`` counter names, read by profiles and benchmarks.
+    form_derives = property(lambda self: self.builds["form"])
+    form_hits = property(lambda self: self.hits["form"])
+    form_build_s = property(lambda self: self.build_s["form"])
+    kernel_compiles = property(lambda self: self.builds["kernel"])
+    kernel_hits = property(lambda self: self.hits["kernel"])
 
     def clear(self) -> None:
         """Drop the in-memory layer (disk entries are kept)."""
         self._memory.clear()
-        self._kernels.clear()
-        self._forms.clear()
+        for table in self._artifacts.values():
+            table.clear()
 
     def _remember(self, key: str, result: SimulationResult) -> None:
         if self.max_entries <= 0:

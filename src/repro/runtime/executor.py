@@ -114,14 +114,18 @@ def run_grid(
     if tasks:
         metrics.count("simulate_calls", len(tasks))
         with metrics.stage("simulate"):
-            outcomes = _execute(
-                [task for _, task in tasks], jobs=jobs, metrics=metrics
+            outcomes = run_tasks(
+                _guarded_simulate_task, [task for _, task in tasks],
+                jobs=jobs, metrics=metrics,
             )
         for (key, _), outcome in zip(tasks, outcomes):
             if isinstance(outcome, SimulationResult):
                 cache.put(key, outcome)
                 tier = outcome.engine.replace("-", "_")
                 metrics.count(f"sim.tier.{tier}")
+                for skip in outcome.skips:
+                    name = f"sim.skip.{skip.tier}.{skip.reason}"
+                    metrics.count(name.replace("-", "_"))
             for index in pending[key]:
                 results[index] = outcome
 
@@ -168,11 +172,6 @@ def run_tasks(
             if metrics is not None:
                 metrics.count("pool_fallbacks")
     return [function(item) for item in items]
-
-
-def _execute(tasks, *, jobs: int, metrics: Metrics):
-    """Run simulation tasks, parallel when possible, serial otherwise."""
-    return run_tasks(_guarded_simulate_task, tasks, jobs=jobs, metrics=metrics)
 
 
 def _pool_worker_init():

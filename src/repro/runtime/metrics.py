@@ -7,10 +7,13 @@ enough to thread through every sweep; ``--profile`` on the CLI and on
 ``python -m repro.bench.report`` prints the accumulated report.
 
 The sweep engine also records which accounting tier served each freshly
-simulated cell as ``sim.tier.closed_form`` / ``sim.tier.compiled`` /
-``sim.tier.walk`` counters (see ``docs/performance.md``); like every
-counter they flow through :meth:`Metrics.to_dict`/:meth:`Metrics.merge`
-into ``repro simulate --profile`` output and the service's ``/metricsz``.
+simulated cell as ``sim.tier.symbolic`` / ``sim.tier.closed_form`` /
+``sim.tier.compiled`` / ``sim.tier.walk`` counters, and each faster tier
+``auto`` passed over as ``sim.skip.<tier>.<reason>`` (reasons
+``unsupported``, ``cost_ceiling``, ``block_cache``; see
+``docs/performance.md``).  Like every counter they flow through
+:meth:`Metrics.to_dict`/:meth:`Metrics.merge` into ``repro simulate
+--profile`` output and the service's ``/metricsz``.
 """
 
 from __future__ import annotations
@@ -138,22 +141,26 @@ def with_process_counters(metrics: Metrics) -> Metrics:
     sink that may be merged twice.  So are the shared simulation cache's
     artifact counters: ``sim.cache.form_derives``/``form_hits`` (tier-0
     engines derived / reused), ``sim.cache.kernel_compiles``/
-    ``kernel_hits`` (accounting kernels compiled / reused) and the timer
-    ``sim.cache.form_build_s``, the wall time spent deriving forms.
+    ``kernel_hits`` (accounting kernels compiled / reused), the timer
+    ``sim.cache.form_build_s`` (wall time deriving forms), and for the
+    ``closed`` and ``cert`` kinds ``sim.cache.<kind>.builds`` / ``.hits``
+    and the timer ``sim.cache.<kind>.build_s``.
     """
     from repro.linalg.sympoly import intern_counters
     from repro.runtime.cache import shared_cache
 
     cache = shared_cache()
     counters = intern_counters()
+    timers = {"sim.cache.form_build_s": cache.form_build_s}
     for name in ("form_derives", "form_hits", "kernel_compiles", "kernel_hits"):
         counters[f"sim.cache.{name}"] = getattr(cache, name)
+    for kind in ("closed", "cert"):
+        counters[f"sim.cache.{kind}.builds"] = cache.builds[kind]
+        counters[f"sim.cache.{kind}.hits"] = cache.hits[kind]
+        timers[f"sim.cache.{kind}.build_s"] = cache.build_s[kind]
     merged = Metrics()
     merged.merge(metrics)
-    merged.merge({
-        "counters": counters,
-        "timers": {"sim.cache.form_build_s": cache.form_build_s},
-    })
+    merged.merge({"counters": counters, "timers": timers})
     return merged
 
 

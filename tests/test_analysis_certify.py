@@ -154,9 +154,14 @@ class TestInjectedFormDefects:
         engine.forms["remote"] = engine.forms["remote"] + sym("N")
         import repro.numa.simulator as simulator
 
-        monkeypatch.setattr(
-            simulator, "_cached_form", lambda node: ("ok", engine)
-        )
+        real_artifact = simulator.node_artifact
+
+        def poisoned_artifact(kind, node, **kwargs):
+            if kind == "form":
+                return ("ok", engine)
+            return real_artifact(kind, node, **kwargs)
+
+        monkeypatch.setattr(simulator, "node_artifact", poisoned_artifact)
         shared_cache().clear()  # drop the good memoized certificate
         try:
             diagnostics = FormsPass().run(context)

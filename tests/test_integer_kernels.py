@@ -1,14 +1,16 @@
 """Oracle tests for the integer-native exact-arithmetic kernels.
 
 Fourier-Motzkin elimination runs on primitive integer rows and symbolic
-forms keep integral coefficients as plain ints.  The reference below is
-a deliberately naive Fraction-only elimination written here, sharing no
-code with ``src/``: it keeps every row as Fractions scaled so the first
-nonzero entry has magnitude 1, and derives the same bounds, projections,
-maxima and implications the library must report.
+forms keep integral coefficients as plain ints.  The references below
+are written here in Fractions and share no code with ``src/``: a
+deliberately naive elimination that keeps every row scaled so its first
+nonzero entry has magnitude 1 (bounds and projections), and an exact LP
+by enumeration of row subsets (maxima and implications), whose cost is
+fixed by the system's size rather than by how its rows combine.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,23 +96,76 @@ def _reference_eliminate(rows, num_vars):
     return levels, projections
 
 
+def _row_reduce(matrix, rhs, width):
+    """Gauss-Jordan elimination of ``matrix . x = rhs`` over ``width``
+    unknowns: ``(rank, x)`` with ``x`` one solution (free unknowns 0),
+    or ``(rank, None)`` when the system is inconsistent."""
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    pivots = []
+    for col in range(width):
+        rank = len(pivots)
+        pivot = next(
+            (i for i in range(rank, len(rows)) if rows[i][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [value / lead for value in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col] != 0:
+                factor = row[col]
+                rows[i] = [a - factor * b for a, b in zip(row, rows[rank])]
+        pivots.append(col)
+    rank = len(pivots)
+    if any(row[-1] != 0 for row in rows[rank:]):
+        return rank, None
+    solution = [Fraction(0)] * width
+    for i, col in enumerate(pivots):
+        solution[col] = rows[i][-1]
+    return rank, solution
+
+
 def _reference_maximize(rows, objective, objective_const):
-    """The max of ``objective . y + objective_const``; None if unbounded."""
-    lifted = [(Fraction(0),) + tuple(row) for row in rows]
-    lifted.append(
-        (Fraction(1),) + tuple(-c for c in objective) + (-objective_const,)
-    )
-    lifted.append(
-        (Fraction(-1),) + tuple(objective) + (objective_const,)
-    )
-    levels, _ = _reference_eliminate(lifted, len(objective) + 1)
-    lowers, uppers = levels[0]
-    if not uppers:
-        return None
-    best = min(value for _coeffs, value in uppers)
-    if lowers and max(value for _coeffs, value in lowers) > best:
+    """The max of ``objective . y + objective_const`` over the rows'
+    polyhedron ``{y : row . (y, 1) >= 0}``; None if unbounded above,
+    ``_Empty`` if the polyhedron is empty.
+
+    Every minimal face of the polyhedron solves ``rank`` linearly
+    independent rows with equality, so the feasible solutions of those
+    subsets witness (non)emptiness.  The objective is bounded above iff
+    it is a nonnegative combination of the negated constraint normals
+    (Farkas), and then of a linearly independent subset of them
+    (Caratheodory); it is then constant on every minimal face, and its
+    maximum is the best face value.  At most ``2**len(rows)`` small
+    eliminations, whatever the draw.
+    """
+    width = len(objective)
+    matrix = [row[:-1] for row in rows]
+    consts = [row[-1] for row in rows]
+
+    def value(normal, point):
+        return sum(a * y for a, y in zip(normal, point))
+
+    rank, _ = _row_reduce(matrix, [0] * len(rows), width)
+    face_values = []
+    for subset in combinations(range(len(rows)), rank):
+        sub_rank, point = _row_reduce(
+            [matrix[i] for i in subset], [-consts[i] for i in subset], width
+        )
+        if sub_rank < rank or point is None:
+            continue
+        if all(value(matrix[i], point) + consts[i] >= 0 for i in range(len(rows))):
+            face_values.append(value(objective, point) + objective_const)
+    if not face_values:
         raise _Empty()
-    return best
+    for size in range(rank + 1):
+        for subset in combinations(range(len(rows)), size):
+            normals = [[-matrix[i][j] for i in subset] for j in range(width)]
+            sub_rank, weights = _row_reduce(normals, objective, size)
+            if sub_rank == size and weights is not None and min(weights, default=0) >= 0:
+                return max(face_values)
+    return None
 
 
 def _outcome(fn, *args):

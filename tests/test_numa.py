@@ -9,6 +9,7 @@ from repro.codegen import generate_ownership, generate_spmd
 from repro.core import access_normalize
 from repro.errors import SimulationError
 from repro.ir import allocate_arrays, execute
+from repro.linalg.progression import count_congruent, count_in_interval
 from repro.numa import (
     butterfly_gp1000,
     ipsc860,
@@ -16,7 +17,6 @@ from repro.numa import (
     simulate,
     uniform_memory,
 )
-from repro.numa.simulator import _count_congruent, _count_in_interval
 
 
 class TestMachineConfig:
@@ -61,7 +61,7 @@ class TestCountingHelpers:
         expected = sum(
             1 for q in range(trips) if (a * (first + step * q) + r) % mod == target % mod
         )
-        assert _count_congruent(a, r, first, step, trips, mod, target) == expected
+        assert count_congruent(a, r, first, step, trips, mod, target) == expected
 
     @pytest.mark.parametrize("a,r,first,step,trips,low,high", [
         (1, 0, 0, 1, 20, 5, 11),
@@ -74,7 +74,7 @@ class TestCountingHelpers:
         expected = sum(
             1 for q in range(trips) if low <= a * (first + step * q) + r <= high
         )
-        assert _count_in_interval(a, r, first, step, trips, low, high) == expected
+        assert count_in_interval(a, r, first, step, trips, low, high) == expected
 
 
 class TestSimulatorBasics:
