@@ -42,6 +42,7 @@ from repro.linalg.progression import (
     Progression,
     affine_segment_starts,
     congruence_period,
+    count_block_cyclic,
     count_congruent,
     count_in_interval,
     residue_classes,
@@ -91,6 +92,7 @@ __all__ = [
     "clear_denominators",
     "column_hnf",
     "congruence_period",
+    "count_block_cyclic",
     "count_congruent",
     "count_in_interval",
     "dot",

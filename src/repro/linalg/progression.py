@@ -8,6 +8,8 @@ about a loop to a question about the arithmetic progression
   ``a*v + r === target (mod m)`` — wrapped (cyclic) ownership tests;
 * how many land in an interval ``low <= a*v + r <= high`` — blocked
   ownership tests;
+* how many satisfy ``((a*v + r) // block) mod modulus == target`` —
+  block-cyclic ownership tests, as an exact floor-sum;
 * the exact sum of an affine function of the position over a sub-range —
   collapsing triangular trip counts into arithmetic series;
 * how the progression splits into residue classes of its position modulo a
@@ -74,11 +76,9 @@ def count_congruent(
         return trips
     lhs = (a * step) % modulus
     rhs = (target - r - a * first) % modulus
-    g = gcd(lhs, modulus)
-    if g == 0:  # lhs == 0 and modulus == 0 cannot happen (modulus >= 2)
-        return trips if rhs == 0 else 0
     if lhs == 0:
         return trips if rhs == 0 else 0
+    g = gcd(lhs, modulus)
     if rhs % g != 0:
         return 0
     period = modulus // g
@@ -109,6 +109,48 @@ def count_in_interval(
     q_low = max(q_low, 0)
     q_high = min(q_high, trips - 1)
     return max(0, q_high - q_low + 1)
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """``sum((a*q + b) // m for q in [0, n))`` for ``m >= 1``, in O(log)
+    iterations: move the integral parts of ``a/m`` and ``b/m`` out (which
+    also folds in negative ``a`` and ``b``), then count the lattice points
+    under the remaining line as the same sum with ``a`` and ``m`` swapped.
+    """
+    total = 0
+    while True:
+        if not 0 <= a < m:
+            total += (n * (n - 1) // 2) * (a // m)
+            a %= m
+        if not 0 <= b < m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def count_block_cyclic(
+    a: int, r: int, first: int, step: int, trips: int, block: int,
+    modulus: int, target: int,
+) -> int:
+    """#{q in [0, trips) : ((a*(first + step*q) + r) // block) mod modulus
+    == target} for ``0 <= target < modulus``.
+
+    ``x mod (block*modulus)`` lies in ``[target*block, (target+1)*block)``
+    exactly when ``floor((x - target*block) / (block*modulus)) -
+    floor((x - (target+1)*block) / (block*modulus))`` is 1 (it is 0
+    otherwise), so the count is a difference of two floor-sums along the
+    progression — O(log) time whatever the trip count.
+    """
+    period = block * modulus
+    slope = a * step
+    base = a * first + r - target * block
+    return _floor_sum(trips, period, slope, base) - _floor_sum(
+        trips, period, slope, base - block
+    )
 
 
 def residue_classes(

@@ -8,9 +8,10 @@ strategy, chosen innermost-out at build time:
 
 ``inner``
     The innermost level.  Iterations, statements and per-reference
-    local/remote splits over the loop's arithmetic progression reduce to
-    congruence / interval counting (:mod:`repro.linalg.progression`) —
-    O(refs) regardless of the trip count.
+    local/remote splits over the loop's arithmetic progression come from
+    the ownership counter the walk shares
+    (:func:`~repro.numa.ownership.charge_innermost`) — O(refs) regardless
+    of the trip count.
 
 ``const``
     No bound, subscript or block-read probe of any deeper level depends on
@@ -34,118 +35,55 @@ strategy, chosen innermost-out at build time:
 
 ``enumerate``
     The general fallback: iterate this level's values and recurse (still
-    benefiting from closed forms below).
+    benefiting from closed forms below).  Levels that deeper blocked or
+    block-cyclic ownership tests depend on enumerate.
 
 The engine is *bit-identical* to the interpreter walk on every counter for
-programs inside its domain and raises :class:`ClosedFormUnsupported` at
-build time otherwise (guarded bodies, block-cyclic or multi-dimensional
-distributions, rational bounds, block caching), letting the simulator fall
-back to tier 2 (the compiled kernel) or tier 3 (the walk).  Like the
-interpreter's analytic path, ownership is computed from subscript values
-directly, so out-of-range accesses that would make the walk's
-``Distribution.owner`` raise are outside the shared domain (the static
-bounds pass guards it).
+programs inside its domain: affine integral bounds and subscripts, plain
+assignment bodies, block-read prologues, and replicated, wrapped, blocked
+or block-cyclic distributions (:func:`~repro.numa.ownership.owner_rule`).
+Outside it (guarded bodies, multi-dimensional distributions, rational
+bounds or subscripts, block caching) the constructor raises
+:class:`ClosedFormUnsupported`, letting the simulator fall back to tier 2
+(the compiled kernel) or tier 3 (the walk).  Like the walk's innermost
+summary, ownership is computed from subscript values directly, so
+out-of-range accesses that would make the walk's ``Distribution.owner``
+raise are outside the shared domain (the static bounds pass guards it).
 """
 
 from __future__ import annotations
 
-from itertools import product as _product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.codegen.locality import RefClass
 from repro.codegen.spmd import NodeProgram
-from repro.ir.scalar import ArrayRef
 from repro.ir.stmt import Assign, BlockRead
 from repro.linalg.progression import (
-    Progression,
     affine_segment_starts,
     congruence_period,
-    count_congruent,
-    count_in_interval,
     residue_classes,
     sum_affine_range,
 )
-from repro.numa.simulator import (
-    AccessCounts,
-    _compile_affine,
+from repro.numa.ownership import (
+    Recipe,
     _CompiledLoop,
     _eval_floor,
-    _var,
+    charge_innermost,
+    gather_transfers,
+    level_progression,
+    owned_count,
+    read_recipe,
+    ref_recipe,
 )
+from repro.numa.simulator import AccessCounts
 
 
 class ClosedFormUnsupported(Exception):
     """The nest falls outside the closed-form engine's domain."""
 
 
-def owned_elements(distribution, shape, processors: int, proc: int) -> int:
-    """How many elements of an array one processor owns.
-
-    Shared by the closed-form engine and the interpreter walk's gather
-    accounting, so both tiers charge whole-array block reads identically.
-    """
-    kind = type(distribution).__name__
-    dims = distribution.distribution_dims()
-    if not dims:
-        total = 1
-        for extent in shape:
-            total *= extent
-        return total
-    if len(dims) == 1 and kind in ("Wrapped", "Blocked"):
-        dim = dims[0]
-        extent = shape[dim]
-        if kind == "Wrapped":
-            mine = count_congruent(1, 0, 0, 1, extent, processors, proc)
-        else:
-            block = -(-extent // processors)
-            mine = max(0, min((proc + 1) * block, extent) - proc * block)
-        rest = 1
-        for d, other in enumerate(shape):
-            if d != dim:
-                rest *= other
-        return mine * rest
-    # Generic fallback: enumerate owners (small arrays only).
-    count = 0
-    for indices in _product(*(range(extent) for extent in shape)):
-        if distribution.owner(indices, processors, shape) == proc:
-            count += 1
-    return count
-
-
 def _require_integral(expr, what: str) -> None:
-    if expr.const.denominator != 1 or any(
-        coeff.denominator != 1 for coeff in expr.coeffs.values()
-    ):
+    if not expr.is_integral():
         raise ClosedFormUnsupported(f"rational {what} '{expr}'")
-
-
-class _RefRecipe:
-    """Accounting recipe for one body reference."""
-
-    __slots__ = ("kind", "slope", "rest", "array", "dim", "coeffs")
-
-    def __init__(self, kind, slope=0, rest=None, array=None, dim=0, coeffs=None):
-        self.kind = kind  # "free" | "wrapped" | "blocked"
-        self.slope = slope  # innermost-index coefficient of the subscript
-        self.rest = rest  # compiled subscript minus the innermost term
-        self.array = array
-        self.dim = dim
-        self.coeffs = coeffs or {}  # index name -> integer coefficient
-
-
-class _ReadRecipe:
-    """Accounting recipe for one prologue block read."""
-
-    __slots__ = ("kind", "slope", "rest", "array", "dim", "coeffs", "pattern")
-
-    def __init__(self, kind, array, pattern, slope=0, rest=None, dim=0, coeffs=None):
-        self.kind = kind  # "none" | "gather" | "wrapped" | "blocked"
-        self.array = array
-        self.pattern = pattern
-        self.slope = slope  # own-level-index coefficient of the probe
-        self.rest = rest
-        self.dim = dim
-        self.coeffs = coeffs or {}
 
 
 class ClosedFormEngine:
@@ -171,7 +109,7 @@ class ClosedFormEngine:
             decl.name: decl.element_bytes for decl in program.arrays
         }
         self.distributions = program.distributions
-        ref_classes: Dict[Tuple[ArrayRef, bool], RefClass] = {
+        ref_classes = {
             (info.ref, info.is_write): info.ref_class for info in node.plan.refs
         }
         indices = nest.indices
@@ -186,22 +124,22 @@ class ClosedFormEngine:
             self.compiled.append(_CompiledLoop(loop))
 
         self.body_len = len(nest.body)
-        self.refs: List[_RefRecipe] = []
+        self.refs: List[Recipe] = []
         for statement in nest.body:
             if not isinstance(statement, Assign):
                 raise ClosedFormUnsupported(
                     f"body statement {type(statement).__name__} needs "
                     "guard/read evaluation"
                 )
-            for ref, is_write in (
-                [(statement.lhs, True)]
-                + [(r, False) for r in statement.rhs.references()]
-            ):
-                self.refs.append(
-                    self._ref_recipe(ref, is_write, ref_classes, indices)
+            for ref, is_write in statement.array_refs():
+                recipe = ref_recipe(
+                    ref, is_write, ref_classes, self.distributions, indices[-1]
                 )
+                self.refs.append(self._counted(
+                    recipe, f"reference {ref}", f"subscript of {ref.array!r}"
+                ))
 
-        self.reads: List[List[_ReadRecipe]] = []
+        self.reads: List[List[Recipe]] = []
         for level, loop in enumerate(nest.loops):
             recipes = []
             for statement in loop.prologue:
@@ -218,71 +156,32 @@ class ClosedFormEngine:
     # ------------------------------------------------------------------
     # build-time analysis
     # ------------------------------------------------------------------
-    def _ref_recipe(self, ref, is_write, ref_classes, indices) -> _RefRecipe:
-        rc = ref_classes.get((ref, is_write), RefClass.CHECK)
-        if rc in (RefClass.LOCAL, RefClass.COVERED):
-            return _RefRecipe("free")
-        distribution = self.distributions.get(ref.array)
-        if distribution is None or not distribution.distribution_dims():
-            return _RefRecipe("free")
-        dims = distribution.distribution_dims()
-        kind = type(distribution).__name__
-        if len(dims) != 1 or kind not in ("Wrapped", "Blocked"):
-            raise ClosedFormUnsupported(
-                f"reference {ref} under '{distribution.describe()}' "
-                "needs owner enumeration"
-            )
-        subscript = ref.subscripts[dims[0]]
-        _require_integral(subscript, f"subscript of {ref.array!r}")
-        inner = indices[-1]
-        slope = int(subscript.coeff(inner))
-        rest = _compile_affine(subscript - subscript.coeff(inner) * _var(inner))
-        coeffs = {
-            name: int(subscript.coeff(name))
-            for name in indices
-            if subscript.coeff(name) != 0
-        }
-        return _RefRecipe(
-            "wrapped" if kind == "Wrapped" else "blocked",
-            slope=slope, rest=rest, array=ref.array, dim=dims[0], coeffs=coeffs,
-        )
-
-    def _read_recipe(self, statement: BlockRead, level: int, indices) -> _ReadRecipe:
+    def _read_recipe(self, statement: BlockRead, level: int, indices) -> Recipe:
         array = statement.array
         if array not in self.decls:
             raise ClosedFormUnsupported(f"array {array!r} has no declared shape")
-        distribution = self.distributions.get(array)
-        if distribution is None or not distribution.distribution_dims():
-            return _ReadRecipe("none", array, statement.pattern)
-        dims = distribution.distribution_dims()
-        if all(statement.pattern[d] is None for d in dims):
-            return _ReadRecipe("gather", array, statement.pattern)
-        kind = type(distribution).__name__
-        if len(dims) != 1 or kind not in ("Wrapped", "Blocked"):
+        read = self._counted(
+            read_recipe(statement, self.distributions, indices[level]),
+            f"block read of {array!r}", f"block-read probe of {array!r}",
+        )
+        for deeper in indices[level + 1:]:
+            if read.subscript is not None and read.subscript.coeff(deeper):
+                raise ClosedFormUnsupported(
+                    f"block-read probe of {array!r} uses inner index "
+                    f"{deeper!r}"
+                )
+        return read
+
+    def _counted(self, recipe: Recipe, what: str, subscript: str) -> Recipe:
+        """``recipe``, when the shared counter can count it exactly."""
+        if recipe.kind == "enumerate":
             raise ClosedFormUnsupported(
-                f"block read of {array!r} under '{distribution.describe()}' "
+                f"{what} under '{self.distributions[recipe.array].describe()}' "
                 "needs owner enumeration"
             )
-        probe = statement.pattern[dims[0]]
-        _require_integral(probe, f"block-read probe of {array!r}")
-        own = indices[level]
-        for deeper in indices[level + 1:]:
-            if probe.coeff(deeper) != 0:
-                raise ClosedFormUnsupported(
-                    f"block-read probe of {array!r} uses inner index {deeper!r}"
-                )
-        slope = int(probe.coeff(own))
-        rest = _compile_affine(probe - probe.coeff(own) * _var(own))
-        coeffs = {
-            name: int(probe.coeff(name))
-            for name in indices
-            if probe.coeff(name) != 0
-        }
-        return _ReadRecipe(
-            "wrapped" if kind == "Wrapped" else "blocked",
-            array, statement.pattern,
-            slope=slope, rest=rest, dim=dims[0], coeffs=coeffs,
-        )
+        if recipe.subscript is not None:
+            _require_integral(recipe.subscript, subscript)
+        return recipe
 
     def _choose_strategies(self, indices) -> List[Tuple]:
         depth = self.nest.depth
@@ -302,25 +201,18 @@ class ClosedFormEngine:
                 if any(expr.coeff(name) != 0 for expr in exprs):
                     bounds_dep = True
                     break
+            # Wrapped ownership is periodic in this index; blocked and
+            # block-cyclic ownership make the level enumerate.
             wrapped_coeffs: List[int] = []
             blocked_dep = False
-            for recipe in self.refs:
-                coeff = recipe.coeffs.get(name, 0)
-                if not coeff:
+            deeper_reads = [read for m in range(level + 1, depth) for read in self.reads[m]]
+            for recipe in self.refs + deeper_reads:
+                if recipe.subscript is None or not recipe.subscript.coeff(name):
                     continue
                 if recipe.kind == "wrapped":
-                    wrapped_coeffs.append(coeff)
-                elif recipe.kind == "blocked":
+                    wrapped_coeffs.append(int(recipe.subscript.coeff(name)))
+                else:
                     blocked_dep = True
-            for m in range(level + 1, depth):
-                for read in self.reads[m]:
-                    coeff = read.coeffs.get(name, 0)
-                    if not coeff:
-                        continue
-                    if read.kind == "wrapped":
-                        wrapped_coeffs.append(coeff)
-                    elif read.kind == "blocked":
-                        blocked_dep = True
             if not bounds_dep and not wrapped_coeffs and not blocked_dep:
                 strategies.append(("const",))
             elif not bounds_dep and not blocked_dep:
@@ -351,33 +243,11 @@ class ClosedFormEngine:
         self._level(0, env, processors, proc, shapes, counts)
         return counts
 
-    def _progression(self, level, env, processors, proc) -> Progression:
-        compiled = self.compiled[level]
-        first = compiled.first(env)
-        high = compiled.high(env)
-        step = compiled.step
-        if level > 0 or self.node.schedule == "all":
-            return Progression.from_bounds(first, high, step)
-        if first > high:
-            return Progression(first, step, 0)
-        if self.node.schedule == "wrapped":
-            if step == 1:
-                start = first + ((proc - first) % processors)
-                return Progression.from_bounds(start, high, processors)
-            return Progression.from_bounds(
-                first + step * proc, high, step * processors
-            )
-        # blocked: contiguous position ranges
-        trips = (high - first) // step + 1
-        block = -(-trips // processors)
-        start = proc * block
-        end = min(trips, (proc + 1) * block) - 1
-        if end < start:
-            return Progression(first, step, 0)
-        return Progression(first + step * start, step, end - start + 1)
-
     def _level(self, level, env, processors, proc, shapes, counts) -> None:
-        progression = self._progression(level, env, processors, proc)
+        progression = level_progression(
+            self.compiled[level], env,
+            self.node.schedule if level == 0 else "all", processors, proc,
+        )
         if level == 0 and self.node.sync_per_outer_iteration:
             counts.syncs += self.node.sync_per_outer_iteration * progression.trips
         for read in self.reads[level]:
@@ -389,7 +259,12 @@ class ClosedFormEngine:
         strategy = self.strategies[level]
         kind = strategy[0]
         if kind == "inner":
-            self._innermost(progression, env, processors, proc, shapes, counts)
+            # The walk clamps a blocked owner's interval in its innermost
+            # summary (depth > 1), not in its depth-1 enumeration.
+            charge_innermost(
+                self.refs, self.body_len, progression, env, processors, proc,
+                shapes, clamp=self.nest.depth > 1, counts=counts,
+            )
             return
         index = self.nest.loops[level].index
         if kind == "const":
@@ -418,52 +293,17 @@ class ClosedFormEngine:
                 value += progression.step
             del env[index]
 
-    def _innermost(self, progression, env, processors, proc, shapes, counts) -> None:
-        trips = progression.trips
-        counts.iterations += trips
-        counts.statements += trips * self.body_len
-        first, step = progression.first, progression.step
-        for recipe in self.refs:
-            if recipe.kind == "free":
-                counts.local += trips
-                continue
-            rest = _eval_floor(recipe.rest, env)
-            if recipe.kind == "wrapped":
-                local = count_congruent(
-                    recipe.slope, rest, first, step, trips, processors, proc
-                )
-            else:
-                extent = shapes[recipe.array][recipe.dim]
-                block = -(-extent // processors)
-                high = (proc + 1) * block - 1
-                if self.nest.depth > 1:
-                    # The walk's innermost summary clamps the owned interval
-                    # to the array extent; its depth-1 enumeration path does
-                    # not.  Equal for in-bounds programs — mirror both.
-                    high = min(high, extent - 1)
-                local = count_in_interval(
-                    recipe.slope, rest, first, step, trips,
-                    proc * block, high,
-                )
-            counts.local += local
-            counts.remote += trips - local
-
     def _charge_read(
         self, read, progression, env, processors, proc, shapes, counts
     ) -> None:
-        if read.kind == "none" or progression.trips == 0:
+        if read.kind == "free" or progression.trips == 0:
             return
         shape = shapes[read.array]
         if read.kind == "gather":
-            total = 1
-            for extent in shape:
-                total *= extent
-            distribution = self.distributions[read.array]
-            remote = total - owned_elements(distribution, shape, processors, proc)
-            if remote <= 0:
-                return
-            messages = min(processors - 1, remote)
-            num_bytes = remote * self.element_bytes.get(read.array, 8)
+            messages, num_bytes = gather_transfers(
+                self.distributions[read.array], shape,
+                self.element_bytes.get(read.array, 8), processors, proc,
+            )
             counts.block_transfers += messages * progression.trips
             counts.block_bytes += num_bytes * progression.trips
             return
@@ -472,19 +312,10 @@ class ClosedFormEngine:
             if entry is None:
                 elements *= shape[dim]
         num_bytes = elements * self.element_bytes.get(read.array, 8)
-        rest = _eval_floor(read.rest, env)
-        if read.kind == "wrapped":
-            local = count_congruent(
-                read.slope, rest, progression.first, progression.step,
-                progression.trips, processors, proc,
-            )
-        else:
-            extent = shape[read.dim]
-            block = -(-extent // processors)
-            local = count_in_interval(
-                read.slope, rest, progression.first, progression.step,
-                progression.trips, proc * block, (proc + 1) * block - 1,
-            )
+        local = owned_count(
+            read, _eval_floor(read.rest, env), progression, processors, proc,
+            shapes, clamp=False,
+        )
         fetches = progression.trips - local
         counts.block_transfers += fetches
         counts.block_bytes += fetches * num_bytes

@@ -10,10 +10,11 @@ these quantities.
 Two modes:
 
 * ``account`` (default) — cost accounting only, never touches array data.
-  The innermost loop is summarized analytically where possible (locality
-  counts over an arithmetic progression reduce to solving a linear
-  congruence), making whole-figure sweeps at paper scale (400x400 GEMM)
-  tractable.
+  The innermost loop is summarized analytically where possible by the
+  ownership counter the closed-form engine shares
+  (:mod:`repro.numa.ownership`: owned counts along an arithmetic
+  progression are congruence, interval or floor-sum counts), making
+  whole-figure sweeps at paper scale (400x400 GEMM) tractable.
 * ``execute`` — additionally performs the assignments on real arrays so the
   parallel execution can be checked against the sequential program.
   Processors are simulated one after another; this is faithful for node
@@ -25,21 +26,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from math import gcd, prod
-from typing import (
-    Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.codegen.locality import RefClass
 from repro.codegen.spmd import NodeProgram
 from repro.distributions.base import Distribution
 from repro.errors import SimulationError
 from repro.ir.interp import evaluate_scalar
-from repro.ir.loop import Loop
 from repro.ir.scalar import ArrayRef
 from repro.ir.stmt import Assign, BlockRead, IfThen, Statement
-from repro.linalg.progression import count_congruent, count_in_interval
 from repro.numa.machine import MachineConfig, butterfly_gp1000
+from repro.numa.ownership import (
+    _compile_affine,
+    _CompiledLoop,
+    _eval_exact,
+    charge_innermost,
+    gather_transfers,
+    level_progression,
+    owner_rule,
+    ref_recipe,
+)
 
 
 @dataclass
@@ -224,98 +230,6 @@ class SimulationResult:
         return "\n".join(lines)
 
 
-def _compile_affine(expr) -> Tuple[Tuple[Tuple[str, int], ...], int, int]:
-    """Compile an affine expression to integer form: ``(pairs, den, const)``.
-
-    The value of the expression is ``(sum(c*env[v]) + const) / den`` — all
-    integer arithmetic, which is an order of magnitude faster in the hot
-    simulation loops than per-term ``Fraction`` math.
-    """
-    coeffs = expr.coeffs
-    den = 1
-    for value in list(coeffs.values()) + [expr.const]:
-        den = den * value.denominator // gcd(den, value.denominator)
-    pairs = tuple(
-        (name, int(value * den)) for name, value in coeffs.items()
-    )
-    return pairs, den, int(expr.const * den)
-
-
-def _eval_ceil(compiled, env) -> int:
-    pairs, den, const = compiled
-    total = const
-    for name, coeff in pairs:
-        total += coeff * env[name]
-    if den == 1:
-        return total
-    return -((-total) // den)
-
-
-def _eval_floor(compiled, env) -> int:
-    pairs, den, const = compiled
-    total = const
-    for name, coeff in pairs:
-        total += coeff * env[name]
-    if den == 1:
-        return total
-    return total // den
-
-
-def _eval_exact(compiled, env) -> Optional[int]:
-    """Integer value, or None when the rational value is not integral."""
-    pairs, den, const = compiled
-    total = const
-    for name, coeff in pairs:
-        total += coeff * env[name]
-    if den == 1:
-        return total
-    if total % den:
-        return None
-    return total // den
-
-
-class _CompiledLoop:
-    """Precompiled bound/alignment evaluators for one loop level."""
-
-    __slots__ = ("loop", "lowers", "uppers", "align", "step")
-
-    def __init__(self, loop: Loop):
-        self.loop = loop
-        self.lowers = tuple(_compile_affine(e) for e in loop.lower)
-        self.uppers = tuple(_compile_affine(e) for e in loop.upper)
-        self.align = _compile_affine(loop.align) if loop.align is not None else None
-        self.step = loop.step
-
-    def low(self, env) -> int:
-        return max(_eval_ceil(c, env) for c in self.lowers)
-
-    def high(self, env) -> int:
-        return min(_eval_floor(c, env) for c in self.uppers)
-
-    def first(self, env) -> int:
-        low = self.low(env)
-        if self.align is None:
-            return low
-        offset = _eval_exact(self.align, env)
-        if offset is None:
-            raise SimulationError("alignment expression is not integral")
-        return low + ((offset - low) % self.step)
-
-    def values(self, env) -> Iterator[int]:
-        value = self.first(env)
-        high = self.high(env)
-        while value <= high:
-            yield value
-            value += self.step
-
-    def trip_count(self, env) -> int:
-        first = self.first(env)
-        high = self.high(env)
-        if first > high:
-            return 0
-        return (high - first) // self.step + 1
-
-
 class _ProcWalker:
     """Simulates one processor's execution of a node program."""
 
@@ -349,57 +263,32 @@ class _ProcWalker:
         self.ref_classes: Dict[Tuple[ArrayRef, bool], RefClass] = {
             (info.ref, info.is_write): info.ref_class for info in node.plan.refs
         }
-        self._body_plain = all(isinstance(s, Assign) for s in self.nest.body)
-        self._innermost_prologue = (
-            bool(self.nest.loops[-1].prologue) if self.nest.loops else False
-        )
         self._compiled = [_CompiledLoop(loop) for loop in self.nest.loops]
-        # Precompiled (ref, is_write) -> locality recipe for the innermost
-        # loop summary: slope of the distribution-dimension subscript in the
-        # innermost index plus the compiled remainder expression.
-        self._inner_plan = self._compile_inner_plan()
+        # Recipes of the innermost references when the shared counter can
+        # charge the innermost loop in one step; None: enumerate it.
+        self._inner = None
+        loops = self.nest.loops
+        if (
+            mode == "account"
+            and len(loops) > 1
+            and not loops[-1].prologue
+            and all(isinstance(s, Assign) for s in self.nest.body)
+        ):
+            recipes = [
+                ref_recipe(
+                    ref, is_write, self.ref_classes, self.distributions,
+                    loops[-1].index,
+                )
+                for statement in self.nest.body
+                for ref, is_write in statement.array_refs()
+            ]
+            if all(r.kind == "free" or r.slope is not None for r in recipes):
+                self._inner = recipes
         self._fast_body = [self._compile_statement(s) for s in self.nest.body]
         self._fast_prologue = [
             [self._compile_statement(s) for s in loop.prologue]
             for loop in self.nest.loops
         ]
-
-    def _compile_inner_plan(self):
-        if not self.nest.loops or not self._body_plain:
-            return None
-        index = self.nest.loops[-1].index
-        plan = []
-        for statement in self.nest.body:
-            for ref, is_write in (
-                [(statement.lhs, True)]
-                + [(r, False) for r in statement.rhs.references()]
-            ):
-                rc = self.ref_classes.get((ref, is_write), RefClass.CHECK)
-                if rc in (RefClass.LOCAL, RefClass.COVERED):
-                    plan.append(("free", None, None, None))
-                    continue
-                distribution = self.distributions.get(ref.array)
-                if distribution is None or not distribution.distribution_dims():
-                    plan.append(("free", None, None, None))
-                    continue
-                dims = distribution.distribution_dims()
-                kind = type(distribution).__name__
-                if len(dims) != 1 or kind not in ("Wrapped", "Blocked"):
-                    plan.append(("enum", None, None, None))
-                    continue
-                subscript = ref.subscripts[dims[0]]
-                slope = subscript.coeff(index)
-                if slope.denominator != 1:
-                    plan.append(("enum", None, None, None))
-                    continue
-                rest = subscript - slope * _var(index)
-                compiled = _compile_affine(rest)
-                if kind == "Wrapped":
-                    plan.append(("wrapped", int(slope), compiled, None))
-                else:
-                    extent = self.shapes[ref.array][dims[0]]
-                    plan.append(("blocked", int(slope), compiled, extent))
-        return plan
 
     # ------------------------------------------------------------------
     # compiled per-iteration execution
@@ -408,51 +297,41 @@ class _ProcWalker:
         """A closure charging one access of ``ref`` under the current env."""
         counts = self.counts
         rc = self.ref_classes.get((ref, is_write), RefClass.CHECK)
-        if rc in (RefClass.LOCAL, RefClass.COVERED):
+        kind, dim, _ = owner_rule(self.distributions.get(ref.array))
+        if kind == "free" or rc in (RefClass.LOCAL, RefClass.COVERED):
             def charge_local(env):
                 counts.local += 1
             return charge_local
-        distribution = self.distributions.get(ref.array)
-        if distribution is None or not distribution.distribution_dims():
-            def charge_repl(env):
-                counts.local += 1
-            return charge_repl
-        dims = distribution.distribution_dims()
-        kind = type(distribution).__name__
-        if len(dims) == 1 and kind in ("Wrapped", "Blocked"):
-            subscript = ref.subscripts[dims[0]]
+        if kind in ("wrapped", "blocked"):
+            subscript = ref.subscripts[dim]
             compiled = _compile_affine(subscript)
-            where = f"subscript '{subscript}' of array {ref.array!r}"
+            error = (
+                f"non-integral subscript '{subscript}' of array "
+                f"{ref.array!r} in {kind} ownership test"
+            )
             cap, proc = self.P, self.p
-            if kind == "Wrapped":
-                def charge_wrapped(env):
-                    value = _eval_exact(compiled, env)
-                    if value is None:
-                        raise SimulationError(
-                            f"non-integral {where} in wrapped ownership test"
-                        )
-                    if value % cap == proc:
-                        counts.local += 1
-                    else:
-                        counts.remote += 1
-                return charge_wrapped
-            extent = self.shapes[ref.array][dims[0]]
-            block = -(-extent // cap)
-            low, high = proc * block, (proc + 1) * block - 1
-            def charge_blocked(env):
+            wrapped = kind == "wrapped"
+            if not wrapped:
+                block = -(-self.shapes[ref.array][dim] // cap)
+                low, high = proc * block, (proc + 1) * block - 1
+
+            def charge_counted(env):
                 value = _eval_exact(compiled, env)
                 if value is None:
-                    raise SimulationError(
-                        f"non-integral {where} in blocked ownership test"
-                    )
-                if low <= value <= high:
+                    raise SimulationError(error)
+                if value % cap == proc if wrapped else low <= value <= high:
                     counts.local += 1
                 else:
                     counts.remote += 1
-            return charge_blocked
+            return charge_counted
+
+        distribution = self.distributions[ref.array]
 
         def charge_generic(env):
-            owner = self._owner(ref.array, ref.index_tuple(env))
+            shape = self.shapes.get(ref.array)
+            if shape is None:
+                raise SimulationError(f"array {ref.array!r} has no declared shape")
+            owner = distribution.owner(ref.index_tuple(env), self.P, shape)
             if owner is None or owner == self.p:
                 counts.local += 1
             else:
@@ -538,19 +417,34 @@ class _ProcWalker:
                 def run_read_local(env):
                     return
                 return run_read_local
+            cache = self.block_cache
             dist_dims = set(distribution.distribution_dims())
             if all(statement.pattern[d] is None for d in dist_dims):
                 # Whole-array gather: the distribution dimensions are
                 # wildcards, so the slice spans every owner.  Locally owned
                 # elements stay put; the rest arrive with one bulk message
                 # per remote owner.
-                return self._compile_gather(statement, distribution, shape)
+                messages, gather_bytes = gather_transfers(
+                    distribution, shape,
+                    self.element_bytes.get(statement.array, 8), self.P, self.p,
+                )
+                gathered = (statement.array, "gather")
+
+                def run_gather(env):
+                    if not (messages or gather_bytes):
+                        return
+                    if cache is not None:
+                        if gathered in cache:
+                            return
+                        cache.add(gathered)
+                    counts.block_transfers += messages
+                    counts.block_bytes += gather_bytes
+                return run_gather
             compiled_probe = [
                 _compile_affine(entry) if entry is not None else None
                 for entry in statement.pattern
             ]
             cap, proc = self.P, self.p
-            cache = self.block_cache
             array_name = statement.array
 
             def run_read(env):
@@ -571,41 +465,6 @@ class _ProcWalker:
             return run_read
         raise SimulationError(f"cannot simulate statement {statement!r}")
 
-    def _compile_gather(self, statement: BlockRead, distribution, shape):
-        """Closure for a whole-array gather (``read X[*]``-style)."""
-        counts = self.counts
-        from repro.numa.counting import owned_elements
-
-        owned = owned_elements(distribution, shape, self.P, self.p)
-        remote_elements = prod(shape) - owned
-        num_bytes = remote_elements * self.element_bytes.get(statement.array, 8)
-        messages = min(self.P - 1, remote_elements)
-        cache = self.block_cache
-        key = (statement.array, "gather")
-
-        def run_gather(env):
-            if remote_elements <= 0:
-                return
-            if cache is not None:
-                if key in cache:
-                    return
-                cache.add(key)
-            counts.block_transfers += messages
-            counts.block_bytes += num_bytes
-        return run_gather
-
-    # ------------------------------------------------------------------
-    # ownership
-    # ------------------------------------------------------------------
-    def _owner(self, array: str, indices: Tuple[int, ...]) -> Optional[int]:
-        distribution = self.distributions.get(array)
-        if distribution is None:
-            return None
-        shape = self.shapes.get(array)
-        if shape is None:
-            raise SimulationError(f"array {array!r} has no declared shape")
-        return distribution.owner(indices, self.P, shape)
-
     # ------------------------------------------------------------------
     # walking
     # ------------------------------------------------------------------
@@ -615,136 +474,34 @@ class _ProcWalker:
 
     def _walk(self, level: int) -> None:
         nest = self.nest
+        env = self.env
         if level == nest.depth:
             self.counts.iterations += 1
-            env = self.env
             for run in self._fast_body:
                 run(env)
             return
-        loop = nest.loops[level]
-        compiled = self._compiled[level]
-        analytic_inner = (
-            level == nest.depth - 1
-            and level > 0
-            and self.mode == "account"
-            and self._inner_plan is not None
-            and not self._innermost_prologue
-            and all(step[0] != "enum" for step in self._inner_plan)
+        progression = level_progression(
+            self._compiled[level], env,
+            self.node.schedule if level == 0 else "all", self.P, self.p,
         )
-        if analytic_inner and self._summarize_innermost(compiled):
+        if level == nest.depth - 1 and self._inner is not None and (
+            charge_innermost(
+                self._inner, len(nest.body), progression, env, self.P,
+                self.p, self.shapes, clamp=True, counts=self.counts,
+            )
+        ):
             return
-        values = (
-            _scheduled_values(compiled, self.env, self.node.schedule, self.P, self.p)
-            if level == 0
-            else compiled.values(self.env)
-        )
+        index = nest.loops[level].index
         prologue = self._fast_prologue[level]
         sync_events = self.node.sync_per_outer_iteration if level == 0 else 0
-        env = self.env
-        for value in values:
-            env[loop.index] = value
+        for value in progression.values():
+            env[index] = value
             if sync_events:
                 self.counts.syncs += sync_events
             for run in prologue:
                 run(env)
             self._walk(level + 1)
-        env.pop(loop.index, None)
-
-    # ------------------------------------------------------------------
-    # analytic innermost-loop summary
-    # ------------------------------------------------------------------
-    def _summarize_innermost(self, compiled: "_CompiledLoop") -> bool:
-        """Account the whole innermost loop in O(refs) time.
-
-        Returns False — charging nothing — when a remainder expression is
-        not integral at the current outer indices; the caller then falls
-        back to enumerating the loop (whose per-access charges report the
-        offending subscript precisely if it really is fractional at every
-        iteration).
-        """
-        env = self.env
-        trips = compiled.trip_count(env)
-        if trips == 0:
-            return True
-        bases = []
-        for kind, slope, rest, extent in self._inner_plan:
-            if kind == "free":
-                bases.append(None)
-                continue
-            base = _eval_exact(rest, env)
-            if base is None:
-                return False
-            bases.append(base)
-        first = compiled.first(env)
-        step = compiled.step
-        counts = self.counts
-        counts.iterations += trips
-        counts.statements += trips * len(self.nest.body)
-        for (kind, slope, rest, extent), base in zip(self._inner_plan, bases):
-            if kind == "free":
-                counts.local += trips
-                continue
-            if kind == "wrapped":
-                local = count_congruent(
-                    slope, base, first, step, trips, self.P, self.p
-                )
-            else:
-                block = -(-extent // self.P)
-                local = count_in_interval(
-                    slope, base, first, step, trips, self.p * block,
-                    min((self.p + 1) * block - 1, extent - 1),
-                )
-            counts.local += local
-            counts.remote += trips - local
-        return True
-
-
-def _var(name: str):
-    from repro.ir.affine import AffineExpr
-
-    return AffineExpr.var(name)
-
-
-def _scheduled_values(
-    compiled: "_CompiledLoop", env: Mapping[str, int], schedule: str,
-    processors: int, proc: int
-) -> Iterator[int]:
-    """Values of the distributed outermost loop executed by one processor."""
-    if schedule == "all":
-        yield from compiled.values(env)
-        return
-    high = compiled.high(env)
-    first = compiled.first(env)
-    if first > high:
-        return
-    step = compiled.step
-    if schedule == "wrapped":
-        if step == 1:
-            # Value-based round robin (the paper's semantics): processor p
-            # executes the iterations whose value is congruent to p, which
-            # is what makes normal distribution-dimension subscripts local.
-            value = first + ((proc - first) % processors)
-            while value <= high:
-                yield value
-                value += processors
-            return
-        # Strided outer loop (tile loop or non-unimodular stride):
-        # position-based round robin keeps every processor busy.
-        value = first + step * proc
-        stride = step * processors
-        while value <= high:
-            yield value
-            value += stride
-        return
-    if schedule == "blocked":
-        trips = (high - first) // step + 1
-        block = -(-trips // processors)
-        start = proc * block
-        end = min(trips, (proc + 1) * block) - 1
-        for q in range(start, end + 1):
-            yield first + step * q
-        return
-    raise SimulationError(f"unknown schedule {schedule!r}")
+        env.pop(index, None)
 
 
 #: Engine choices accepted by :func:`simulate` (and ``--engine``).
@@ -830,21 +587,18 @@ def _run_kernel(
     processors: int, proc: int,
 ) -> AccessCounts:
     """Run the tier-2 kernel for one processor."""
-    from repro.numa.counting import owned_elements
-
     program = node.program
     shapes = {decl.name: decl.shape(env) for decl in program.arrays}
     gathers = []
     for array in kernel.gather_arrays:
-        shape = shapes[array]
-        distribution = program.distributions[array]
-        remote = prod(shape) - owned_elements(distribution, shape, processors, proc)
         element_bytes = next(
             (d.element_bytes for d in program.arrays if d.name == array), 8
         )
-        gathers.append(
-            (min(processors - 1, remote), remote * element_bytes, remote)
+        messages, size = gather_transfers(
+            program.distributions[array], shapes[array], element_bytes,
+            processors, proc,
         )
+        gathers.append((messages, size, size // element_bytes))
     cache = set() if block_cache else None
     return AccessCounts(*kernel(env, processors, proc, shapes, gathers, cache))
 

@@ -54,6 +54,7 @@ from repro.linalg.sympoly import (
     sym_sum,
 )
 from repro.numa.counting import ClosedFormEngine, ClosedFormUnsupported
+from repro.numa.ownership import owner_rule
 from repro.numa.simulator import AccessCounts
 
 __all__ = ["SymbolicEngine", "SymbolicUnsupported", "FIELDS", "FORM_SCHEMA"]
@@ -117,6 +118,20 @@ def _from_affine(expr) -> SymExpr:
     return total
 
 
+def unsupported_reason(base: ClosedFormEngine) -> Optional[str]:
+    """Why a nest tier 1 accepts has no symbolic form (None: derive)."""
+    for recipe in base.refs + [r for reads in base.reads for r in reads]:
+        kind = recipe.kind
+        if kind == "gather":
+            kind = owner_rule(base.distributions[recipe.array])[0]
+        if kind == "block-cyclic":
+            return (
+                f"block-cyclic ownership of {recipe.array!r} has no "
+                "symbolic form"
+            )
+    return None
+
+
 class SymbolicEngine:
     """Derive-once symbolic accounting for a node program (tier 0).
 
@@ -133,6 +148,9 @@ class SymbolicEngine:
             base = base or ClosedFormEngine(node)
         except ClosedFormUnsupported as error:
             raise SymbolicUnsupported(str(error))
+        reason = unsupported_reason(base)
+        if reason is not None:
+            raise SymbolicUnsupported(reason)
         self.node = node
         self.base = base
         self.procs_name = node.procs_param
@@ -293,20 +311,18 @@ class SymbolicEngine:
         return pos(smin(trips - 1, hi_t) - smax(const(0), lo_t) + 1)
 
     def _owned(self, distribution, shape: Tuple[SymExpr, ...]) -> SymExpr:
-        """Symbolic :func:`~repro.numa.counting.owned_elements`."""
+        """Symbolic :func:`~repro.numa.ownership.owned_elements`."""
         P = sym(self.procs_name)
         p = sym(self.proc_name)
-        kind = type(distribution).__name__
-        dims = distribution.distribution_dims()
-        if not dims:
+        kind, dim, _ = owner_rule(distribution)
+        if kind == "free":
             total = const(1)
             for extent in shape:
                 total = total * extent
             return total
-        if len(dims) == 1 and kind in ("Wrapped", "Blocked"):
-            dim = dims[0]
+        if kind in ("wrapped", "blocked"):
             extent = shape[dim]
-            if kind == "Wrapped":
+            if kind == "wrapped":
                 mine = pos(floordiv(extent - 1 - mod(p, P), P) + 1)
             else:
                 block = floordiv(extent + P - 1, P)
@@ -329,7 +345,7 @@ class SymbolicEngine:
         positive: frozenset,
     ) -> None:
         """Append one prologue block read's transfers/bytes contributions."""
-        if read.kind == "none":
+        if read.kind == "free":
             return
         P = sym(self.procs_name)
         p = sym(self.proc_name)

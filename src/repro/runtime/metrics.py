@@ -98,19 +98,23 @@ class Metrics:
         }
 
     def report(self) -> str:
-        """Human-readable profile: stage timings first, then counters."""
+        """Human-readable profile: stage timings first, then counters.
+
+        Only the top-level :data:`PIPELINE_STAGES` carry a share: every
+        other timer is spent inside one of them.
+        """
         lines = ["pipeline profile"]
         ordered = [s for s in PIPELINE_STAGES if s in self.timers]
+        total = sum(self.timers[stage] for stage in ordered)
         ordered += sorted(set(self.timers) - set(PIPELINE_STAGES))
         if ordered:
             width = max(len(s) for s in ordered)
-            total = sum(self.timers.values())
             for stage in ordered:
                 seconds = self.timers[stage]
-                share = 100.0 * seconds / total if total else 0.0
-                lines.append(
-                    f"  {stage.ljust(width)}  {seconds * 1e3:10.1f} ms  {share:5.1f}%"
-                )
+                share = ""
+                if stage in PIPELINE_STAGES:
+                    share = f"  {100.0 * seconds / total if total else 0.0:5.1f}%"
+                lines.append(f"  {stage.ljust(width)}  {seconds * 1e3:10.1f} ms{share}")
         if self.counters:
             width = max(len(name) for name in self.counters)
             for name in sorted(self.counters):

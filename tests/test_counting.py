@@ -14,20 +14,30 @@ from fractions import Fraction
 import pytest
 
 from repro.bench import gemm_variants, syr2k_variants
-from repro.distributions import Blocked, Wrapped
+from repro.distributions import BlockCyclic, Blocked, Wrapped
 from repro.errors import SimulationError
+from repro.ir.loop import Loop
 from repro.linalg import (
     Progression,
     affine_segment_starts,
     congruence_period,
+    count_block_cyclic,
     count_congruent,
     count_in_interval,
     residue_classes,
     sum_affine_range,
 )
 from repro.numa import AccessCounts, simulate
-from repro.numa.counting import ClosedFormEngine, owned_elements
-from repro.numa.simulator import _compile_affine, _ProcWalker
+from repro.numa.counting import ClosedFormEngine
+from repro.numa.ownership import (
+    Recipe,
+    _compile_affine,
+    _CompiledLoop,
+    charge_innermost,
+    level_progression,
+    owned_elements,
+)
+from repro.numa.simulator import _ProcWalker
 from repro.ir.affine import AffineExpr
 
 
@@ -51,6 +61,44 @@ def test_count_congruent_matches_enumeration():
                             )
                             assert got == brute, (a, first, step, trips,
                                                   modulus, target)
+
+
+@pytest.mark.parametrize("schedule", ["wrapped", "blocked", "all"])
+def test_count_block_cyclic_matches_owner_enumeration(schedule):
+    """Along every processor's share of a scheduled level, the floor-sum
+    count equals enumerating ``BlockCyclic.owner`` — negative slopes,
+    ``block=1`` and ``block*P > trips`` included."""
+    for block in (1, 3, 8):
+        for processors in (1, 2, 3, 5):
+            for a in (-2, -1, 1, 3):
+                for step in (1, 2):
+                    for trips in (0, 1, 7, 30):
+                        low = -3
+                        loop = _CompiledLoop(
+                            Loop.make("v", low, low + step * trips - 1, step)
+                        )
+                        # Keep every subscript a*v + r inside the array.
+                        r = -min(a * low, a * (low + step * trips)) + 1
+                        extent = max(a * low, a * (low + step * trips)) + r + 1
+                        owner = BlockCyclic(0, block).owner
+                        for proc in range(processors):
+                            prog = level_progression(
+                                loop, {}, schedule, processors, proc
+                            )
+                            brute = sum(
+                                1
+                                for v in prog.values()
+                                if owner((a * v + r,), processors, (extent,))
+                                == proc
+                            )
+                            got = count_block_cyclic(
+                                a, r, prog.first, prog.step, prog.trips,
+                                block, processors, proc,
+                            )
+                            assert got == brute, (
+                                schedule, block, processors, a, step, trips,
+                                proc,
+                            )
 
 
 def test_count_congruent_with_remainder():
@@ -150,6 +198,8 @@ def test_owned_elements_matches_owner_enumeration():
         Wrapped(dim=0),
         Blocked(dim=0),
         Blocked(dim=1),
+        BlockCyclic(dim=0, block=2),
+        BlockCyclic(dim=1, block=3),
     ):
         for processors in (1, 2, 3, 4):
             counted = sum(
@@ -235,10 +285,17 @@ def test_summary_falls_back_on_fractional_rest():
     walker = _ProcWalker(node, env, 2, 0, "account", None)
     # Force a remainder expression of i/2: integral only at even i.
     half_i = AffineExpr.var("i") * Fraction(1, 2)
-    walker._inner_plan = [("wrapped", 1, _compile_affine(half_i), None)]
+    recipes = [Recipe("wrapped", "A", 1, slope=1, rest=_compile_affine(half_i))]
     walker.env["i"] = walker.env["j"] = 2
-    inner = walker._compiled[-1]
-    assert walker._summarize_innermost(inner) is True
+    inner = level_progression(walker._compiled[-1], walker.env, "all", 2, 0)
+
+    def summarize():
+        return charge_innermost(
+            recipes, len(node.nest.body), inner, walker.env, 2, 0,
+            walker.shapes, True, walker.counts,
+        )
+
+    assert summarize() is True
     assert walker.counts.iterations == 8  # N=8 trips charged in one step
     charged = walker.counts.local + walker.counts.remote
     assert charged == 8
@@ -246,5 +303,5 @@ def test_summary_falls_back_on_fractional_rest():
     # without charging anything, so the caller can enumerate the loop.
     walker.counts = AccessCounts()
     walker.env["i"] = 3
-    assert walker._summarize_innermost(inner) is False
+    assert summarize() is False
     assert walker.counts == AccessCounts()

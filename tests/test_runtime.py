@@ -67,6 +67,22 @@ class TestMetrics:
     def test_empty_report(self):
         assert "no events" in Metrics().report()
 
+    def test_report_shares_cover_only_pipeline_stages(self):
+        metrics = Metrics()
+        metrics.add_time("parse", 0.25)
+        metrics.add_time("simulate", 0.75)
+        # Spent inside simulate: printed, but not priced as a share.
+        metrics.add_time("sim.cache.form_build_s", 0.7)
+        lines = metrics.report().splitlines()
+        shares = [
+            float(line.split()[-1].rstrip("%"))
+            for line in lines if line.endswith("%")
+        ]
+        assert shares == [25.0, 75.0]
+        assert sum(shares) == pytest.approx(100.0)
+        (nested,) = [line for line in lines if "form_build_s" in line]
+        assert nested.rstrip().endswith("ms")
+
 
 class TestFingerprints:
     def test_fingerprint_stable_across_rebuilds(self):

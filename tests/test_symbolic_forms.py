@@ -475,6 +475,7 @@ def test_every_shipped_engine_compiles_its_fused_evaluator():
         if name.endswith(".json")
     )
     engines = 0
+    without = set()
     for path in inputs:
         program, _ = _load_input(path)
         for block_transfers in (False, True):
@@ -484,6 +485,7 @@ def test_every_shipped_engine_compiles_its_fused_evaluator():
             try:
                 engine = SymbolicEngine(node)
             except SymbolicUnsupported:
+                without.add(os.path.basename(path))
                 continue
             engines += 1
             fused = engine.evaluator()
@@ -497,8 +499,12 @@ def test_every_shipped_engine_compiles_its_fused_evaluator():
                     engine.forms[field].evaluate(point) for field in FIELDS
                 )
                 assert fused(point) == expected, (path, proc)
-    # Every input but the two block-cyclic corpus entries (no tier 0).
-    assert engines == 2 * (len(inputs) - 2)
+    # Every input but the three block-cyclic corpus entries (no tier 0).
+    assert without == {
+        "negative-stride.json", "rational-negative-bound.json",
+        "triangular-skew.json",
+    }
+    assert engines == 2 * (len(inputs) - len(without))
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ artifact (closed-form engine, symbolic form, compiled kernel, form
 certificate) is built once per node fingerprint in its own table.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -16,6 +17,7 @@ from repro.analysis.cli import _load_input
 from repro.analysis.forms import CERT_MAX_PROCS, FormsPass, certify_node
 from repro.analysis.manager import AnalysisContext, build_context
 from repro.bench import gemm_variants, syr2k_variants
+from repro.distributions import Block2D
 from repro.errors import SimulationError
 from repro.numa.simulator import ENGINES, TierSkip, choose_tier, simulate
 from repro.runtime import Metrics, SimulationCache, set_shared_cache, shared_cache
@@ -25,8 +27,10 @@ from repro.runtime.metrics import with_process_counters
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _program_node(relative):
+def _program_node(relative, distributions=None):
     program, _ = _load_input(os.path.join(REPO_ROOT, relative))
+    if distributions is not None:
+        program = dataclasses.replace(program, distributions=distributions)
     return build_context(program).node
 
 
@@ -52,8 +56,14 @@ def nodes():
         "gemmB": gemm_variants(8)["gemmB"],
         # No symbolic form: the closed-form engine serves.
         "negative-stride": _program_node("tests/corpus/negative-stride.json"),
-        # Block-cyclic ownership: every faster tier rejects, the walk serves.
+        # Block-cyclic ownership: no symbolic form, the closed-form
+        # engine serves.
         "triangular-skew": _program_node("tests/corpus/triangular-skew.json"),
+        # Two-dimensional ownership on a 1x2 grid (P=2 only): every
+        # faster tier rejects, the walk serves.
+        "block-2d": _program_node(
+            "tests/corpus/triangular-skew.json", {"A": Block2D(1, 2)}
+        ),
         # The naive banded SYR2K at P=1 is over the symbolic cost ceiling.
         "syr2k-big": syr2k_variants(800, 100)["syr2k"],
     }
@@ -77,7 +87,7 @@ FAST = ("symbolic", "closed-form", "compiled")
 @pytest.mark.parametrize("engine", ENGINES)
 def test_forced_engine_outcomes(nodes, engine, block_cache, mode):
     """Every engine x block_cache x mode: the tier, or the verbatim error."""
-    node = nodes["triangular-skew"]
+    node = nodes["block-2d"]
     if mode == "execute" and engine in FAST:
         expected = (
             f"engine {engine!r} only supports account mode; "
@@ -137,11 +147,19 @@ def test_auto_skips_unsupported_form(nodes):
     assert choice.tier == "closed-form"
     (skip,) = choice.skips
     assert (skip.tier, skip.reason) == ("symbolic", "unsupported")
-    assert "needs enumeration" in skip.detail
+    assert skip.detail == "block-cyclic ownership of 'B' has no symbolic form"
+
+
+def test_auto_serves_block_cyclic_from_closed_form(nodes):
+    choice = _choose(nodes["triangular-skew"])
+    assert choice.tier == "closed-form"
+    (skip,) = choice.skips
+    assert (skip.tier, skip.reason) == ("symbolic", "unsupported")
+    assert skip.detail == "block-cyclic ownership of 'A' has no symbolic form"
 
 
 def test_auto_falls_to_the_walk_with_every_reason(nodes):
-    choice = _choose(nodes["triangular-skew"])
+    choice = _choose(nodes["block-2d"])
     assert choice.tier == "walk"
     assert [(s.tier, s.reason) for s in choice.skips] == [
         ("symbolic", "unsupported"),
@@ -165,7 +183,7 @@ def test_auto_demotes_over_the_cost_ceiling(nodes):
 
 
 def test_execute_mode_and_forced_walk_record_no_skips(nodes):
-    node = nodes["triangular-skew"]
+    node = nodes["block-2d"]
     assert _choose(node, mode="execute").skips == ()
     assert _choose(node, "walk").skips == ()
 
@@ -182,7 +200,7 @@ def test_result_carries_skips_outside_the_wire_format(nodes, fresh_cache):
 def test_sweep_counts_skip_reasons(nodes, fresh_cache):
     metrics = Metrics()
     cells = [
-        SweepCell("walk", nodes["triangular-skew"], 2),
+        SweepCell("walk", nodes["block-2d"], 2),
         SweepCell("closed", nodes["negative-stride"], 2),
         SweepCell("cached", nodes["gemmB"], 2, block_cache=True),
     ]
@@ -225,12 +243,13 @@ def test_form003_fires_exactly_on_a_cost_ceiling_skip(monkeypatch, N, b):
 # the artifact table
 # ----------------------------------------------------------------------
 def test_one_closed_build_per_node(nodes, fresh_cache):
-    for name in ("gemmB", "negative-stride", "triangular-skew"):
+    for name in ("gemmB", "negative-stride", "triangular-skew", "block-2d"):
         node = nodes[name]
         before = fresh_cache.builds["closed"]
-        for processors in (1, 2, 3):
+        # The 1x2 grid of block-2d fixes P=2.
+        for processors in (2, 2, 2) if name == "block-2d" else (1, 2, 3):
             simulate(node, processors=processors)
-        if name != "triangular-skew":
+        if name != "block-2d":
             simulate(node, processors=2, engine="closed-form")
         FormsPass().run(_context(node))
         assert fresh_cache.builds["closed"] == before + 1, name

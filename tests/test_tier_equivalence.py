@@ -2,13 +2,16 @@
 
 Parametrized over every sample program under ``examples/programs/`` and
 every regression-corpus entry under ``tests/corpus/`` at P in {1, 2, 3, 4}:
-whatever tier ``auto`` picks, and any forced tier that accepts the nest,
-must reproduce the interpreter walk (tier 3) exactly — per processor, on
-every :class:`~repro.numa.AccessCounts` field.  A forced tier is allowed
-to *reject* a nest (that is what ``auto`` falls back for) but never to
-disagree.
+the interpreter walk, whatever tier ``auto`` picks, and any forced tier
+that accepts the nest must reproduce :func:`reference_account` exactly —
+per processor, on every :class:`~repro.numa.AccessCounts` field.  The
+reference enumerates every iteration and shares no code with the tiers
+(the walk and the closed-form engine share one ownership counter, so the
+walk alone cannot vouch for it).  A forced tier is allowed to *reject* a
+nest (that is what ``auto`` falls back for) but never to disagree.
 """
 
+import dataclasses
 import glob
 import json
 import os
@@ -21,6 +24,7 @@ from repro.errors import SimulationError
 from repro.fuzz import ProgramSpec
 from repro.lang import parse_program
 from repro.numa import simulate
+from tests.reference_account import reference_account
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES = sorted(glob.glob(os.path.join(REPO_ROOT, "examples", "programs", "*.an")))
@@ -30,7 +34,7 @@ CORPUS = sorted(
 
 PROCS = (1, 2, 3, 4)
 
-#: Small parameter overrides keeping the tier-3 walk fast in CI.
+#: Small parameter overrides keeping the reference account fast in CI.
 EXAMPLE_PARAMS = {
     "gemm": {"N": 24},
     "syr2k": {"N": 40, "b": 6},
@@ -39,23 +43,24 @@ EXAMPLE_PARAMS = {
 
 
 def _assert_tiers_match(node, processors, params=None):
-    walk = simulate(
-        node, processors=processors, params=params, engine="walk"
-    )
-    assert walk.engine == "walk"
-    for engine in ("auto", "symbolic", "closed-form", "compiled"):
+    expected = [
+        reference_account(node, params, processors, proc)
+        for proc in range(processors)
+    ]
+    for engine in ("walk", "auto", "symbolic", "closed-form", "compiled"):
         try:
             outcome = simulate(
                 node, processors=processors, params=params, engine=engine
             )
         except SimulationError as error:
-            # auto must accept every nest; a forced tier may decline.
-            assert engine != "auto", error
+            # auto and the walk must accept every nest; a forced tier may
+            # decline.
+            assert engine not in ("auto", "walk"), error
             continue
-        for reference, tiered in zip(walk.per_proc, outcome.per_proc):
-            assert tiered.counts == reference.counts, (
-                f"engine {outcome.engine!r} disagrees with walk on "
-                f"proc {reference.proc} at P={processors}"
+        for proc, result in enumerate(outcome.per_proc):
+            assert dataclasses.asdict(result.counts) == expected[proc], (
+                f"engine {outcome.engine!r} disagrees with the reference "
+                f"account on proc {proc} at P={processors}"
             )
 
 
