@@ -15,9 +15,11 @@ Layers:
   CLI (which is what makes served output byte-identical to ``repro``);
 * :mod:`repro.service.queueing` — bounded admission with backpressure;
 * :mod:`repro.service.batching` — micro-batching + in-flight dedup;
-* :mod:`repro.service.server` — the asyncio JSON-over-HTTP daemon;
-* :mod:`repro.service.router` — the consistent-hash fleet router
-  (cross-replica dedup, health checks, retry-on-next-replica);
+* :mod:`repro.service.daemon` — the asyncio HTTP daemon skeleton both
+  daemons share (parsing, responses, listen → serve → drain, logging);
+* :mod:`repro.service.server` — the compilation daemon on that skeleton;
+* :mod:`repro.service.router` — the consistent-hash fleet router on that
+  skeleton (cross-replica dedup, health checks, retry-on-next-replica);
 * :mod:`repro.service.fleet` — the ``repro fleet`` replica launcher;
 * :mod:`repro.service.client` — a thin synchronous client with optional
   bounded retry/backoff;

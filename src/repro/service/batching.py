@@ -9,10 +9,11 @@ argument applied to the toolchain — many small requests share one
 startup, the way many elements share one block transfer.
 
 On top of the window, identical concurrent ``simulate`` *requests* are
-deduplicated before batching even begins: the canonical JSON of the
-payload keys a map of in-flight futures, so N clients asking the same
-question while the answer is being computed all await one future and one
-execution.  (Across non-overlapping requests the shared
+deduplicated before batching even begins: the request's
+:func:`~repro.service.protocol.request_key` keys a map of in-flight
+futures, so N clients asking the same question while the answer is
+being computed all await one future and one execution.  (Across
+non-overlapping requests the shared
 :class:`~repro.runtime.cache.SimulationCache` provides the same
 guarantee via ``cache_hits``.)
 """
@@ -20,11 +21,10 @@ guarantee via ``cache_hits``.)
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import Awaitable, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.runtime.metrics import Metrics
-from repro.service.protocol import ServiceError
+from repro.service.protocol import ServiceError, request_key
 
 #: One batch item: ``(op, payload, future-to-resolve)``.
 _Item = Tuple[str, Mapping[str, object], "asyncio.Future[Dict[str, object]]"]
@@ -78,13 +78,7 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         key: Optional[str] = None
         if op == "simulate":
-            # timeout_s is client flow control, not part of the question
-            # being asked — waiters with different timeouts still share
-            # one execution.
-            key_fields = {
-                k: v for k, v in payload.items() if k != "timeout_s"
-            }
-            key = json.dumps(key_fields, sort_keys=True, default=str)
+            key = request_key(op, payload)
             existing = self._inflight.get(key)
             if existing is not None and not existing.done():
                 self._metrics.count("service.dedup_inflight")

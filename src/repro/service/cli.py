@@ -26,7 +26,8 @@ from repro.service.protocol import ServiceConfig
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.server import run_server
+    from repro.service.daemon import run_daemon
+    from repro.service.server import CompilationServer
 
     config = ServiceConfig(
         host=args.host,
@@ -40,7 +41,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_max_entries=args.cache_max_entries,
         log_requests=not args.quiet,
     )
-    return run_server(config)
+    return run_daemon(CompilationServer(config))
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:

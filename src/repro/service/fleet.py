@@ -25,10 +25,11 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.service.router import RouterConfig, run_router
+from repro.service.daemon import run_daemon
+from repro.service.router import FleetRouter, RouterConfig
 
 
 @dataclass
@@ -50,7 +51,6 @@ class FleetConfig:
     health_interval_s: float = 1.0
     quiet_replicas: bool = True
     log_requests: bool = True
-    extra_serve_args: Sequence[str] = field(default_factory=tuple)
 
 
 class ReplicaProcess:
@@ -120,7 +120,6 @@ def spawn_replicas(config: FleetConfig) -> List[ReplicaProcess]:
                 argv += ["--cache-max-entries", str(config.cache_max_entries)]
             if config.quiet_replicas:
                 argv.append("--quiet")
-            argv += list(config.extra_serve_args)
             log_path = os.path.join(log_dir, f"replica-{index}.log")
             log_file = open(log_path, "w", encoding="utf-8")
             try:
@@ -208,28 +207,17 @@ def run_fleet(config: FleetConfig) -> int:
         drain_grace_s=config.drain_grace_s,
         log_requests=config.log_requests,
     )
-    # run_router blocks until the router's own drain completes, so the
-    # state file must be written by the router once it has bound.  Do it
-    # with a tiny wrapper: start, write, then serve.
-    import asyncio
 
-    from repro.service.router import FleetRouter
-
-    router = FleetRouter(router_config)
-
-    async def _main() -> None:
-        await router.start()
+    def _write_state(router: FleetRouter) -> None:
+        # The router's port is known only once it has bound.
         if config.state_file:
             assert router.port is not None
             write_state_file(
                 config.state_file, config.host, router.port, replicas
             )
-        await router.serve_forever()
 
     try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:  # pragma: no cover - direct ^C
-        pass
+        run_daemon(FleetRouter(router_config), on_listening=_write_state)
     finally:
         killed = terminate_replicas(replicas, grace_s=config.drain_grace_s)
         if killed:
@@ -245,7 +233,6 @@ __all__ = [
     "FleetConfig",
     "ReplicaProcess",
     "run_fleet",
-    "run_router",
     "spawn_replicas",
     "terminate_replicas",
     "write_state_file",

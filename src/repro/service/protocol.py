@@ -28,8 +28,9 @@ header (and recorded in the request log).  A full request queue answers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+import json
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional
 
 from repro.errors import ReproError
 
@@ -100,6 +101,15 @@ def error_payload(code: str, message: str) -> Dict[str, object]:
     return {"ok": False, "error": {"code": code, "message": message}}
 
 
+def request_key(op: str, payload: Mapping[str, object]) -> str:
+    """The identity of one ``/v1/<op>`` request, which the batcher's
+    in-flight dedup keys on and the router's fingerprint hashes: the op
+    plus the canonical JSON of the payload.  ``timeout_s`` is client
+    flow control, not part of the question, so it is left out."""
+    fields = {k: v for k, v in payload.items() if k != "timeout_s"}
+    return f"{op}\n{json.dumps(fields, sort_keys=True, default=str)}"
+
+
 @dataclass
 class ServiceConfig:
     """Everything ``repro serve`` needs to run a daemon.
@@ -124,4 +134,3 @@ class ServiceConfig:
     cache_dir: Optional[str] = None
     cache_max_entries: Optional[int] = None
     log_requests: bool = True
-    extra: Dict[str, object] = field(default_factory=dict)

@@ -1,7 +1,9 @@
 """Tests for the compilation service: daemon, batching, client, submit CLI."""
 
+import contextlib
 import glob
 import json
+import socket
 import threading
 import time
 
@@ -13,6 +15,7 @@ from repro.service.client import ServiceClient
 from repro.service.jobs import execute_batch, execute_job, run_compile
 from repro.service.protocol import ServiceConfig, ServiceError
 from repro.service.queueing import AdmissionQueue
+from repro.service.router import RouterConfig, RouterThread
 from repro.service.server import ServerThread
 
 EXAMPLES = sorted(glob.glob("examples/programs/*.an"))
@@ -41,12 +44,62 @@ def isolated_cache():
 
 @pytest.fixture
 def server(isolated_cache):
-    config = ServiceConfig(
+    with running("serve") as (handle, _):
+        yield handle
+
+
+#: The two daemons that share one lifecycle: a compilation daemon
+#: answering on its own, and the fleet router in front of one.
+DAEMONS = ("serve", "router")
+
+
+@contextlib.contextmanager
+def running(kind, **settings):
+    """Yield ``(front, replica)``: the daemon clients talk to, and the
+    compilation daemon behind it (the same one for ``"serve"``)."""
+    options = dict(
         port=0, jobs=1, log_requests=False, batch_window_s=0.005,
         queue_limit=32, timeout_s=30.0,
     )
-    with ServerThread(config) as handle:
+    options.update(settings)
+    replica = front = ServerThread(ServiceConfig(**options)).start()
+    try:
+        if kind == "router":
+            front = RouterThread(
+                RouterConfig(
+                    port=0,
+                    replicas=[f"127.0.0.1:{replica.port}"],
+                    log_requests=False,
+                )
+            ).start()
+        yield front, replica
+    finally:
+        front.stop()
+        replica.stop()
+
+
+@pytest.fixture(params=DAEMONS)
+def front(request, isolated_cache):
+    with running(request.param) as (handle, _):
         yield handle
+
+
+def raw_exchange(port, request_bytes):
+    """Send raw request bytes; return ``(status, error code)``."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request_bytes)
+        return read_raw_response(sock)
+
+
+def read_raw_response(sock):
+    response = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)["error"]["code"]
 
 
 @pytest.fixture
@@ -122,10 +175,33 @@ class TestEndpoints:
             client.simulate({"processors": 2})
         assert excinfo.value.status == 422
 
-    def test_unknown_op_is_404(self, client):
+    def test_unknown_op_is_404(self, front):
+        client = ServiceClient("127.0.0.1", front.port, timeout=30.0)
         with pytest.raises(ServiceError) as excinfo:
             client._roundtrip("POST", "/v1/transmogrify", {})
         assert excinfo.value.status == 404
+
+    def test_malformed_request_line_is_400(self, front):
+        assert raw_exchange(front.port, b"GARBAGE\r\n\r\n") == (
+            400, "bad_request"
+        )
+
+    def test_unknown_path_is_404(self, front):
+        request = b"GET /nowhere HTTP/1.1\r\n\r\n"
+        assert raw_exchange(front.port, request) == (404, "not_found")
+
+    def test_get_on_an_op_is_405(self, front):
+        request = b"GET /v1/simulate HTTP/1.1\r\n\r\n"
+        assert raw_exchange(front.port, request) == (
+            405, "method_not_allowed"
+        )
+
+    @pytest.mark.parametrize("path", ["/healthz", "/metricsz"])
+    def test_introspection_answers_get_only(self, front, path):
+        request = f"POST {path} HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+        assert raw_exchange(front.port, request.encode()) == (
+            405, "method_not_allowed"
+        )
 
     def test_timing_travels_in_a_header_not_the_body(self, server):
         import http.client
@@ -145,11 +221,11 @@ class TestEndpoints:
         assert float(response.getheader("X-Repro-Elapsed-Ms")) >= 0
         assert sorted(document) == ["exit_code", "ok", "op", "result"]
 
-    def test_bad_json_body_is_400(self, server):
+    def test_bad_json_body_is_400(self, front):
         import http.client
 
         connection = http.client.HTTPConnection(
-            "127.0.0.1", server.port, timeout=10
+            "127.0.0.1", front.port, timeout=10
         )
         connection.request(
             "POST", "/v1/compile", body=b"{not json",
@@ -262,31 +338,55 @@ class TestBackpressure:
 
 
 class TestGracefulDrain:
-    def test_drain_completes_in_flight_requests(self, isolated_cache):
-        config = ServiceConfig(
-            port=0, jobs=1, log_requests=False, batch_window_s=0.0,
-            timeout_s=30.0,
-        )
-        handle = ServerThread(config).start()
-        client = ServiceClient("127.0.0.1", handle.port, timeout=30.0)
-        outcome = {}
-
-        def slow():
-            outcome["response"] = client.compile(
-                {"source": GEMM_SOURCE, "delay_ms": 800}
+    @pytest.mark.parametrize("kind", DAEMONS)
+    def test_drain_completes_in_flight_requests(
+        self, kind, isolated_cache, capsys
+    ):
+        body = json.dumps({"source": GEMM_SOURCE}).encode()
+        with running(kind, batch_window_s=0.0) as (front, replica), \
+                socket.create_connection(("127.0.0.1", front.port)) as late:
+            # A request whose body has not arrived when the drain begins:
+            # it must be answered 503, not dropped.
+            late.settimeout(30)
+            late.sendall(
+                b"POST /v1/compile HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body)
             )
+            assert wait_until(lambda: front.daemon._open_connections == 1)
+            client = ServiceClient("127.0.0.1", front.port, timeout=30.0)
+            outcome = {}
 
-        thread = threading.Thread(target=slow)
-        thread.start()
-        assert wait_until(lambda: client.health()["queue_depth"] == 1)
-        handle.stop(timeout=30)  # initiates drain and joins the loop thread
-        thread.join(timeout=30)
-        assert outcome["response"]["ok"] is True
-        assert "access normalization report" in (
-            outcome["response"]["result"]["stdout"]
-        )
-        with pytest.raises(ServiceError):
-            client.health()  # listener is gone after drain
+            def slow():
+                outcome["response"] = client.compile(
+                    {"source": GEMM_SOURCE, "delay_ms": 800}
+                )
+
+            thread = threading.Thread(target=slow)
+            thread.start()
+            backend = ServiceClient("127.0.0.1", replica.port, timeout=30.0)
+            assert wait_until(lambda: backend.health()["queue_depth"] == 1)
+            # stop() drains and joins the loop thread, which waits for
+            # the late connection: run it aside.
+            stopper = threading.Thread(target=front.stop, args=(30,))
+            stopper.start()
+            assert wait_until(lambda: front.daemon._draining)
+            late.sendall(body)
+            assert read_raw_response(late) == (503, "draining")
+            stopper.join(timeout=30)
+            thread.join(timeout=30)
+            assert not stopper.is_alive() and not thread.is_alive()
+            assert outcome["response"]["ok"] is True
+            assert "access normalization report" in (
+                outcome["response"]["result"]["stdout"]
+            )
+            with pytest.raises(ServiceError):
+                client.health()  # listener is gone after drain
+            drains = [
+                json.loads(line)
+                for line in capsys.readouterr().err.splitlines()
+                if '"drain_complete"' in line
+            ]
+            assert [record["dropped"] for record in drains] == [0]
 
 
 class TestByteIdenticalWithDirectCLI:
