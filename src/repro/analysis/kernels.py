@@ -316,7 +316,7 @@ def _observed_ownership(func: ast.FunctionDef) -> Dict[str, int]:
             elif node.func.id == "_count_in_interval":
                 observed.setdefault("blocked", node.lineno)
         elif isinstance(node, ast.Name) and node.id.startswith(
-            ("_lob_", "_hib_", "_clb_")
+            ("_lob_", "_hib_")
         ):
             observed.setdefault("blocked", node.lineno)
     return observed

@@ -600,7 +600,7 @@ class _KernelEmitter:
                 self.lines.append(
                     f"{summary_pad}{n} = _count_in_interval({slope}, "
                     f"{rests[k]}, {first}, {step}, {trips}, _lob_{tag}, "
-                    f"_clb_{tag})"
+                    f"_hib_{tag})"
                 )
             self.lines.append(f"{summary_pad}_c_local += {n}")
             self.lines.append(f"{summary_pad}_c_remote += {trips} - {n}")
@@ -656,10 +656,6 @@ class _KernelEmitter:
             )
             hoists.append(f"    _lob_{tag} = _p * _blk_{tag}")
             hoists.append(f"    _hib_{tag} = _lob_{tag} + _blk_{tag} - 1")
-            hoists.append(
-                f"    _clb_{tag} = min(_hib_{tag}, "
-                f"_shapes['{array}'][{dim}] - 1)"
-            )
         lines = (
             header + binds + gathers + self.read_bytes + hoists + body
             + [

@@ -259,11 +259,9 @@ class ClosedFormEngine:
         strategy = self.strategies[level]
         kind = strategy[0]
         if kind == "inner":
-            # The walk clamps a blocked owner's interval in its innermost
-            # summary (depth > 1), not in its depth-1 enumeration.
             charge_innermost(
                 self.refs, self.body_len, progression, env, processors, proc,
-                shapes, clamp=self.nest.depth > 1, counts=counts,
+                shapes, counts,
             )
             return
         index = self.nest.loops[level].index
@@ -314,7 +312,7 @@ class ClosedFormEngine:
         num_bytes = elements * self.element_bytes.get(read.array, 8)
         local = owned_count(
             read, _eval_floor(read.rest, env), progression, processors, proc,
-            shapes, clamp=False,
+            shapes,
         )
         fetches = progression.trips - local
         counts.block_transfers += fetches

@@ -232,15 +232,15 @@ def read_recipe(statement, distributions: Mapping, index: str) -> Recipe:
 
 def owned_count(
     recipe: Recipe, rest: int, progression: Progression, processors: int,
-    proc: int, shapes: Mapping[str, Sequence[int]], clamp: bool,
+    proc: int, shapes: Mapping[str, Sequence[int]],
 ) -> int:
     """How many values of ``progression`` give ``proc`` an owned access.
 
-    ``rest`` is the recipe's remainder at the current outer indices.
-    ``clamp`` caps a blocked owner's interval at the array extent: the
-    walk's innermost summary does, its per-iteration test does not.  The
-    two agree on in-bounds programs; each tier mirrors the walk path it
-    replaces.
+    ``rest`` is the recipe's remainder at the current outer indices.  A
+    blocked owner holds ``p*block .. (p+1)*block - 1`` with ``block =
+    ceil(extent / P)`` — exactly :meth:`Blocked.owner
+    <repro.distributions.Blocked.owner>`'s ``v // block``, also for
+    subscripts past the extent.
     """
     kind = recipe.kind
     first, step, trips = progression.first, progression.step, progression.trips
@@ -257,18 +257,16 @@ def owned_count(
         )
     extent = shapes[recipe.array][recipe.dim]
     block = -(-extent // processors)
-    high = (proc + 1) * block - 1
-    if clamp:
-        high = min(high, extent - 1)
     return count_in_interval(
-        recipe.slope, rest, first, step, trips, proc * block, high
+        recipe.slope, rest, first, step, trips, proc * block,
+        (proc + 1) * block - 1,
     )
 
 
 def charge_innermost(
     recipes: Sequence[Recipe], statements: int, progression: Progression,
     env: Mapping[str, int], processors: int, proc: int,
-    shapes: Mapping[str, Sequence[int]], clamp: bool, counts,
+    shapes: Mapping[str, Sequence[int]], counts,
 ) -> bool:
     """Charge a whole innermost level to ``counts`` in O(refs) time.
 
@@ -290,7 +288,7 @@ def charge_innermost(
         if rest is None:
             return False
         local += owned_count(
-            recipe, rest, progression, processors, proc, shapes, clamp
+            recipe, rest, progression, processors, proc, shapes
         )
     counts.iterations += trips
     counts.statements += trips * statements
@@ -318,7 +316,6 @@ def owned_elements(distribution, shape, processors: int, proc: int) -> int:
     mine = owned_count(
         Recipe(kind, None, dim, block, slope=1), 0,
         Progression(0, 1, shape[dim]), processors, proc, {None: shape},
-        clamp=True,
     )
     return mine * prod(e for d, e in enumerate(shape) if d != dim)
 

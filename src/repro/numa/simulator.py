@@ -487,7 +487,7 @@ class _ProcWalker:
         if level == nest.depth - 1 and self._inner is not None and (
             charge_innermost(
                 self._inner, len(nest.body), progression, env, self.P,
-                self.p, self.shapes, clamp=True, counts=self.counts,
+                self.p, self.shapes, self.counts,
             )
         ):
             return

@@ -24,9 +24,9 @@ Nests whose derivation leaves the summable fragment raise
 :class:`~repro.linalg.sympoly.SymbolicUnsupported`; the simulator treats
 that as "fall down the engine ladder" to the closed-form tier, never as an
 error.  Within its domain the engine is bit-identical to the interpreter
-walk on every count — including the walk's quirk of clamping a blocked
-reference's owned interval to the array extent only for nests of depth
-greater than one (see ``ClosedFormEngine._innermost``).
+walk on every count — including subscripts past a blocked array's
+extent, which every tier counts by ``Blocked.owner``'s ``v // block``
+rule (see :func:`~repro.numa.ownership.owned_count`).
 """
 
 from __future__ import annotations
@@ -433,10 +433,6 @@ class SymbolicEngine:
                 extent = extents[recipe.array][recipe.dim]
                 block = floordiv(extent + P - 1, P)
                 high_own = (p + 1) * block - 1
-                if depth > 1:
-                    # Mirror the walk: the innermost summary clamps the
-                    # owned interval to the extent; depth-1 nests do not.
-                    high_own = smin(high_own, extent - 1)
                 indicator = ge0(subscript - p * block) * ge0(
                     high_own - subscript
                 )

@@ -270,6 +270,34 @@ def _test_delay(payload: Mapping[str, object]) -> None:
 # ----------------------------------------------------------------------
 # the jobs themselves
 # ----------------------------------------------------------------------
+def _variant_node(
+    payload: Mapping[str, object],
+    program: Program,
+    variant: str,
+    metrics: Metrics,
+    *,
+    schedule: str = "wrapped",
+    result=None,
+):
+    """The node program of one of :data:`VARIANTS` under ``schedule``.
+
+    ``naive`` compiles ``program`` as written; the normalized variants
+    compile its access-normalized form, ``result`` when the caller has
+    it, else normalized here.
+    """
+    if variant == "naive":
+        source, block_transfers = program, False
+    else:
+        if result is None:
+            result = _normalize(payload, program, metrics)
+        source = result.transformed
+        block_transfers = variant == "normalized+bt"
+    with metrics.stage("codegen"):
+        return generate_spmd(
+            source, schedule=schedule, block_transfers=block_transfers
+        )
+
+
 def run_compile(
     payload: Mapping[str, object], *, metrics: Optional[Metrics] = None
 ) -> str:
@@ -360,17 +388,18 @@ def run_sweep(
     result = _normalize(payload, program, metrics)
     machine = machine_from_payload(payload)
     err_lines: List[str] = []
-    with metrics.stage("codegen"):
-        nodes = {
-            "naive": generate_spmd(program, block_transfers=False),
-            "normalized": generate_spmd(result.transformed, block_transfers=False),
-            "normalized+bt": generate_spmd(result.transformed),
-        }
-        if payload.get("ownership"):
-            try:
+    nodes = {
+        variant: _variant_node(
+            payload, program, variant, metrics, result=result
+        )
+        for variant in VARIANTS
+    }
+    if payload.get("ownership"):
+        try:
+            with metrics.stage("codegen"):
                 nodes["ownership"] = generate_ownership(program)
-            except ReproError as error:
-                err_lines.append(f"(skipping ownership baseline: {error})")
+        except ReproError as error:
+            err_lines.append(f"(skipping ownership baseline: {error})")
     procs = _normalize_processors(payload.get("processors"))
     engine = _engine_from_payload(payload)
     series = run_speedup_sweep(
@@ -418,17 +447,9 @@ def _candidate_node(
         raise ReproError(
             f"unknown schedule {schedule!r}: expected one of {_SCHEDULES}"
         )
-    with metrics.stage("codegen"):
-        if variant == "naive":
-            node = generate_spmd(
-                program, schedule=schedule, block_transfers=False
-            )
-        else:
-            node = generate_spmd(
-                normalized.transformed,
-                schedule=schedule,
-                block_transfers=(variant == "normalized+bt"),
-            )
+    node = _variant_node(
+        {}, program, variant, metrics, schedule=schedule, result=normalized
+    )
     return f"{variant}/{schedule}", node
 
 
@@ -657,18 +678,10 @@ def build_simulation_cell(
     if processors <= 0:
         raise ReproError(f"processor count must be positive, got {processors}")
     machine = machine_from_payload(payload)
-    schedule = str(payload.get("schedule", "wrapped"))
-    if variant == "naive":
-        with metrics.stage("codegen"):
-            node = generate_spmd(program, block_transfers=False)
-    else:
-        result = _normalize(payload, program, metrics)
-        with metrics.stage("codegen"):
-            node = generate_spmd(
-                result.transformed,
-                schedule=schedule,
-                block_transfers=(variant == "normalized+bt"),
-            )
+    node = _variant_node(
+        payload, program, variant, metrics,
+        schedule=str(payload.get("schedule", "wrapped")),
+    )
     params = _payload_params(payload)
     return SweepCell(
         name=f"{program.name}@{variant}",

@@ -29,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -179,7 +180,8 @@ class CompilationServer(Daemon):
 
     def _request_timeout(self, payload: Mapping[str, object]) -> float:
         """Per-request timeout: ``timeout_s`` in the payload, capped by
-        the server-wide limit."""
+        the server-wide limit; a non-finite or non-positive value counts
+        as absent."""
         requested = payload.get("timeout_s")
         if requested is None:
             return self.config.timeout_s
@@ -187,7 +189,7 @@ class CompilationServer(Daemon):
             value = float(requested)  # type: ignore[arg-type]
         except (TypeError, ValueError):
             return self.config.timeout_s
-        if value <= 0:
+        if not math.isfinite(value) or value <= 0:
             return self.config.timeout_s
         return min(value, self.config.timeout_s)
 

@@ -1,23 +1,27 @@
-"""The transformation autotuner's driver: prune, materialize, score, rank.
+"""The transformation autotuner's driver: admit, materialize, score, rank.
 
-The pipeline per candidate ``(distribution assignment, recipe)``:
+Three phases over one list of candidate specs, one per ``(distribution
+assignment, recipe)``:
 
-1. **Enumerate** (:mod:`repro.tune.space`) — build the candidate matrix
-   from the assignment's data access matrix, deduplicated per assignment.
-2. **Prune** — reject any matrix failing Section 6's legality criterion
+1. **Admit** (``_admit``) — enumerate every assignment's recipes
+   (:mod:`repro.tune.space`), deduplicate matrices per assignment, and
+   reject any matrix failing Section 6's legality criterion
    (:func:`~repro.core.legal.is_legal_transformation`, or its
    direction-vector variant for non-uniform nests) before spending
    anything on it.
-3. **Materialize** — apply the transformation (Fourier-Motzkin bounds,
-   Hermite lattice), generate the SPMD node program, and re-prove
-   legality with the analysis legality pass (LEG001-LEG004) over the
-   produced artifacts; this fans out over
+2. **Materialize** (``_materialize_task``) — apply the transformation
+   (Fourier-Motzkin bounds, Hermite lattice), generate the SPMD node
+   program, and re-prove legality with the analysis legality pass
+   (LEG001-LEG004) over the produced artifacts; this fans out over
    :func:`~repro.runtime.executor.run_tasks`.
-4. **Score** — simulate every survivor at every requested processor
+3. **Score** — simulate every survivor at every requested processor
    count through one :func:`~repro.runtime.executor.run_grid` call, so
    the tiered accounting engine and the shared
    :class:`~repro.runtime.cache.SimulationCache` make thousands of
    candidates cheap.
+
+The fuzz oracle :func:`verify_search_legality` runs the first two
+phases as they are, so it checks the path the tuner takes.
 
 Ranking is by ``(sum of per-P times, per-P time tuple, enumeration
 index)`` — fully deterministic and independent of ``jobs`` (both fan-out
@@ -153,17 +157,26 @@ class TuneResult:
 
 @dataclass
 class _Spec:
-    """One admitted candidate awaiting materialization and scoring."""
+    """One enumerated candidate on its way through admit, materialize and
+    score."""
 
     index: int
     trial: Program
     assignment: Dict[str, Optional[Distribution]]
     recipe: TransformRecipe
-    matrix: Matrix
+    matrix: Optional[Matrix]
     provenance: Provenance
     access: DataAccessMatrix
     access_rows: Tuple[str, ...] = ()
     node: Optional[NodeProgram] = None
+
+
+def _pruned(spec: _Spec, reason: str) -> TuneCandidate:
+    return TuneCandidate(
+        index=spec.index, distributions=spec.assignment, recipe=spec.recipe,
+        matrix=spec.matrix, provenance=spec.provenance,
+        access_rows=spec.access_rows, status="pruned", reason=reason,
+    )
 
 
 def _trial_program(
@@ -199,15 +212,15 @@ def _signed_rows(access: DataAccessMatrix, provenance: Provenance) -> Tuple[str,
 def _materialize_task(item) -> Tuple[str, object, str]:
     """Top-level worker: transform, generate SPMD, re-prove legality.
 
-    Returns ``("ok", node, legality_error_codes)`` or
-    ``("error", reason, "")``; exceptions never escape so a bad candidate
-    cannot take down the pool.
+    ``item`` is ``(spec, dependence context, assumptions)``.  Returns
+    ``("ok", node, legality_error_codes)`` or ``("error", reason, "")``;
+    exceptions never escape so a bad candidate cannot take down the pool.
     """
-    (trial, matrix, provenance, access, dependences, deps, directions,
-     assumptions, run_legality) = item
+    spec, (dependences, deps, directions), assumptions = item
+    trial = spec.trial
     try:
         transformation = apply_transformation(
-            trial.nest, matrix, assumptions=tuple(assumptions)
+            trial.nest, spec.matrix, assumptions=tuple(assumptions)
         )
         transformed = trial.with_nest(
             transformation.nest, name=f"{trial.name}-tuned"
@@ -217,33 +230,36 @@ def _materialize_task(item) -> Tuple[str, object, str]:
         return ("error", f"pipeline: {error}", "")
     except Exception as error:  # noqa: BLE001 - candidate bugs are data
         return ("error", f"pipeline: {type(error).__name__}: {error}", "")
-    codes = ""
-    if run_legality:
-        result = NormalizationResult(
-            program=trial,
-            transformed=transformed,
-            transformation=transformation,
-            access=access,
-            dependences=tuple(dependences),
-            dependence_columns=deps,
-            normalized_rows=provenance,
-            direction_dependences=directions,
+    result = NormalizationResult(
+        program=trial,
+        transformed=transformed,
+        transformation=transformation,
+        access=spec.access,
+        dependences=tuple(dependences),
+        dependence_columns=deps,
+        normalized_rows=spec.provenance,
+        direction_dependences=directions,
+    )
+    try:
+        report = analyze_artifacts(
+            trial, result=result, node=node,
+            passes=resolve_passes(["legality"]),
         )
-        try:
-            report = analyze_artifacts(
-                trial, result=result, node=node,
-                passes=resolve_passes(["legality"]),
-            )
-        except Exception as error:  # noqa: BLE001
-            return ("error", f"legality pass crashed: {error}", "")
-        if report.has_errors:
-            codes = ",".join(report.error_codes)
+    except Exception as error:  # noqa: BLE001
+        return ("error", f"legality pass crashed: {error}", "")
+    codes = ",".join(report.error_codes) if report.has_errors else ""
     return ("ok", node, codes)
+
+
+#: ``(dependences, distance matrix, direction vectors)`` of one program.
+_DependenceContext = Tuple[
+    Tuple[Dependence, ...], Matrix, Tuple[Tuple[str, ...], ...]
+]
 
 
 def _dependence_context(
     program: Program, params: Optional[Mapping[str, int]]
-) -> Tuple[Tuple[Dependence, ...], Matrix, Tuple[Tuple[str, ...], ...]]:
+) -> _DependenceContext:
     """Dependences, distance matrix and direction vectors — distribution
     independent, so computed once per program."""
     depth = program.nest.depth
@@ -272,6 +288,79 @@ def _quick_legal(
     if directions:
         return is_legal_direction_transformation(matrix, directions)
     return is_legal_transformation(matrix, deps)
+
+
+def _admit(
+    program: Program,
+    space: SearchSpace,
+    context: _DependenceContext,
+    *,
+    params: Optional[Mapping[str, int]] = None,
+    priority: Optional[Sequence[str]] = None,
+    budget: Optional[int] = None,
+    metrics: Metrics,
+) -> Tuple[List[_Spec], List[TuneCandidate]]:
+    """Enumerate assignments × recipes and admit what Section 6 allows.
+
+    Matrices are deduplicated per assignment.  A recipe without a
+    matrix, or whose matrix fails the quick legality prune, becomes a
+    pruned candidate.  The ``derived`` recipe runs over every assignment
+    before the other recipes, and ``budget`` caps the admitted specs.
+    Returns ``(admitted, pruned)``, each in enumeration order.
+    """
+    dependences, deps, directions = context
+    depth = program.nest.depth
+    per_assignment = []
+    for assignment in candidate_assignments(program, space):
+        trial = _trial_program(program, assignment, params)
+        access = build_access_matrix(
+            trial.nest, trial.distributions, priority=priority
+        )
+        per_assignment.append((assignment, trial, access, set()))
+
+    passes = [
+        kinds for kinds in (
+            ("derived",),
+            tuple(k for k in space.recipes if k != "derived"),
+        ) if any(k in space.recipes for k in kinds)
+    ]
+    admitted: List[_Spec] = []
+    pruned: List[TuneCandidate] = []
+    for kinds in passes:
+        for assignment, trial, access, seen in per_assignment:
+            for outcome in enumerate_recipes(
+                access, deps, depth, space,
+                dependences=dependences, kinds=kinds,
+            ):
+                if outcome.matrix is not None:
+                    key = repr(outcome.matrix)
+                    if key in seen:
+                        metrics.count("tune.duplicates")
+                        continue
+                    seen.add(key)
+                metrics.count("tune.candidates")
+                spec = _Spec(
+                    index=len(admitted) + len(pruned), trial=trial,
+                    assignment=dict(assignment), recipe=outcome.recipe,
+                    matrix=outcome.matrix, provenance=outcome.provenance,
+                    access=access,
+                    access_rows=_signed_rows(access, outcome.provenance),
+                )
+                if outcome.matrix is None:
+                    pruned.append(_pruned(spec, outcome.error))
+                elif not _quick_legal(outcome.matrix, deps, directions):
+                    pruned.append(_pruned(
+                        spec, "illegal: a column of T @ D is not "
+                        "lexicographically positive",
+                    ))
+                else:
+                    admitted.append(spec)
+                    metrics.count("tune.admitted")
+                    if budget is not None and len(admitted) >= budget:
+                        return admitted, pruned
+                    continue
+                metrics.count("tune.pruned")
+    return admitted, pruned
 
 
 def tune_program(
@@ -307,107 +396,28 @@ def tune_program(
     if assumptions is None:
         assumptions = tuple(getattr(program, "assumptions", ()) or ())
 
-    dependences, deps, directions = _dependence_context(program, params)
-    depth = program.nest.depth
+    context = _dependence_context(program, params)
 
-    # -- enumerate + prune (serial, deterministic) ---------------------
-    pruned: List[TuneCandidate] = []
-    admitted: List[_Spec] = []
-    enumerated = 0
+    # -- admit (serial, deterministic) ---------------------------------
     with metrics.stage("tune.enumerate"):
-        contexts = []
-        for assignment in candidate_assignments(program, space):
-            trial = _trial_program(program, assignment, params)
-            access = build_access_matrix(
-                trial.nest, trial.distributions, priority=priority
-            )
-            contexts.append((assignment, trial, access, set()))
-
-        passes = [
-            kinds for kinds in (
-                ("derived",),
-                tuple(k for k in space.recipes if k != "derived"),
-            ) if any(k in space.recipes for k in kinds)
-        ]
-        stop = False
-        for kinds in passes:
-            if stop:
-                break
-            for assignment, trial, access, seen in contexts:
-                if stop:
-                    break
-                for outcome in enumerate_recipes(
-                    access, deps, depth, space,
-                    dependences=dependences, kinds=kinds,
-                ):
-                    if outcome.matrix is not None:
-                        key = repr(outcome.matrix)
-                        if key in seen:
-                            metrics.count("tune.duplicates")
-                            continue
-                        seen.add(key)
-                    enumerated += 1
-                    metrics.count("tune.candidates")
-                    index = enumerated - 1
-                    if outcome.matrix is None:
-                        pruned.append(TuneCandidate(
-                            index=index, distributions=dict(assignment),
-                            recipe=outcome.recipe, matrix=None,
-                            status="pruned", reason=outcome.error,
-                        ))
-                        metrics.count("tune.pruned")
-                        continue
-                    if not _quick_legal(outcome.matrix, deps, directions):
-                        pruned.append(TuneCandidate(
-                            index=index, distributions=dict(assignment),
-                            recipe=outcome.recipe, matrix=outcome.matrix,
-                            provenance=outcome.provenance,
-                            access_rows=_signed_rows(access, outcome.provenance),
-                            status="pruned",
-                            reason="illegal: a column of T @ D is not "
-                            "lexicographically positive",
-                        ))
-                        metrics.count("tune.pruned")
-                        continue
-                    admitted.append(_Spec(
-                        index=index, trial=trial,
-                        assignment=dict(assignment), recipe=outcome.recipe,
-                        matrix=outcome.matrix, provenance=outcome.provenance,
-                        access=access,
-                        access_rows=_signed_rows(access, outcome.provenance),
-                    ))
-                    metrics.count("tune.admitted")
-                    if budget is not None and len(admitted) >= budget:
-                        stop = True
-                        break
+        admitted, pruned = _admit(
+            program, space, context, params=params, priority=priority,
+            budget=budget, metrics=metrics,
+        )
+    enumerated = len(admitted) + len(pruned)  # later phases prune more
 
     # -- materialize (parallel, order-preserving) ----------------------
-    items = [
-        (spec.trial, spec.matrix, spec.provenance, spec.access, dependences,
-         deps, directions, assumptions, True)
-        for spec in admitted
-    ]
+    items = [(spec, context, assumptions) for spec in admitted]
     with metrics.stage("tune.materialize"):
         outcomes = run_tasks(_materialize_task, items, jobs=jobs, metrics=metrics)
     survivors: List[_Spec] = []
-    for spec, outcome in zip(admitted, outcomes):
-        status, payload, codes = outcome
-        candidate_fields = dict(
-            index=spec.index, distributions=spec.assignment,
-            recipe=spec.recipe, matrix=spec.matrix,
-            provenance=spec.provenance, access_rows=spec.access_rows,
-        )
-        if status == "error":
-            pruned.append(TuneCandidate(
-                status="pruned", reason=str(payload), **candidate_fields
-            ))
-            metrics.count("tune.pruned")
-            continue
-        if codes:
-            pruned.append(TuneCandidate(
-                status="pruned", reason=f"legality pass: {codes}",
-                **candidate_fields,
-            ))
+    for spec, (status, payload, codes) in zip(admitted, outcomes):
+        if status == "error" or codes:
+            reason = (
+                str(payload) if status == "error"
+                else f"legality pass: {codes}"
+            )
+            pruned.append(_pruned(spec, reason))
             metrics.count("tune.pruned")
             continue
         spec.node = payload  # type: ignore[assignment]
@@ -513,60 +523,34 @@ def verify_search_legality(
     budget: int = 12,
     space: Optional[SearchSpace] = None,
 ) -> Tuple[int, str]:
-    """Independently re-check every transformation the tuner would emit.
+    """Re-prove legality on every transformation the tuner would emit.
 
-    Runs the enumerator and the quick pruner, then for each emitted
-    candidate re-proves legality twice — Section 6's matrix criterion
-    (or the direction-vector variant) on the exact emitted matrix, and
-    the analysis legality pass (LEG001-LEG004) over the materialized
-    artifacts.  Returns ``(candidates_checked, "")`` on success or
-    ``(n, detail)`` describing the first violation: a candidate that the
-    pruner admitted but the independent checks reject is a tuner bug.
+    Runs the tuner's own admit phase (enumeration, dedupe and Section
+    6's quick prune, capped at ``budget`` admitted candidates) and its
+    materialize task, whose analysis legality pass (LEG001-LEG004)
+    re-checks each admitted candidate over the materialized artifacts.
+    Returns ``(candidates_checked, "")`` on success or ``(n, detail)``
+    naming the first candidate the pass flags: a T that the quick prune
+    admitted but the pass rejects is a tuner bug.
 
     This is the differential fuzzer's tuner oracle; ``budget`` keeps it
     cheap per fuzz case.
     """
     space = space if space is not None else SearchSpace(block_sizes=())
-    dependences, deps, directions = _dependence_context(program, None)
-    depth = program.nest.depth
+    context = _dependence_context(program, None)
     assumptions = tuple(getattr(program, "assumptions", ()) or ())
-    checked = 0
-    for assignment in candidate_assignments(program, space):
-        trial = _trial_program(program, assignment, None)
-        access = build_access_matrix(trial.nest, trial.distributions)
-        seen: set = set()
-        for outcome in enumerate_recipes(
-            access, deps, depth, space, dependences=dependences
-        ):
-            if outcome.matrix is None:
-                continue  # rejected before emission: nothing to verify
-            key = repr(outcome.matrix)
-            if key in seen:
-                continue
-            seen.add(key)
-            if not _quick_legal(outcome.matrix, deps, directions):
-                continue  # the pruner rejected it: nothing was emitted
-            checked += 1
-            where = (
-                f"{outcome.recipe.describe()} under "
-                + "; ".join(
-                    f"{name}: {d.describe() if d else 'replicated'}"
-                    for name, d in sorted(assignment.items())
-                )
+    admitted, _ = _admit(
+        program, space, context, budget=budget, metrics=Metrics()
+    )
+    for checked, spec in enumerate(admitted, 1):
+        status, _, codes = _materialize_task((spec, context, assumptions))
+        if status == "ok" and codes:
+            where = _pruned(spec, codes).describe_distributions()
+            return checked, (
+                f"emitted T flagged by the legality pass ({codes}): "
+                f"{spec.recipe.describe()} under {where}"
             )
-            status, payload, codes = _materialize_task((
-                trial, outcome.matrix, outcome.provenance, access,
-                dependences, deps, directions, assumptions, True,
-            ))
-            if status == "error":
-                continue  # pipeline failure: the candidate is not emitted
-            if codes:
-                return checked, (
-                    f"emitted T flagged by the legality pass ({codes}): {where}"
-                )
-            if checked >= budget:
-                return checked, ""
-    return checked, ""
+    return len(admitted), ""
 
 
 __all__ = [

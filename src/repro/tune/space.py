@@ -28,7 +28,7 @@ direction-vector partial normalization) and ``identity``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import (
     Dict,
@@ -56,6 +56,15 @@ RECIPE_KINDS = ("derived", "identity", "rows", "skew", "scale")
 #: :class:`~repro.core.legal.LegalBasisResult`.
 Provenance = Tuple[Tuple[int, bool], ...]
 
+#: Skew factors applied between reduced-basis rows.
+SKEW_FACTORS = (1, -1)
+#: Diagonal scale factors (non-unimodular stride candidates).
+SCALE_FACTORS = (2,)
+#: Access-matrix rows considered for subset recipes (ranked prefix).
+MAX_ROWS = 6
+#: Cap on row-subset recipes per distribution assignment.
+MAX_ROW_SELECTIONS = 48
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -72,14 +81,6 @@ class SearchSpace:
     allow_replicated: bool = False
     #: Recipe kinds to enumerate (subset of :data:`RECIPE_KINDS`).
     recipes: Tuple[str, ...] = RECIPE_KINDS
-    #: Skew factors applied between reduced-basis rows.
-    skew_factors: Tuple[int, ...] = (1, -1)
-    #: Diagonal scale factors (non-unimodular stride candidates).
-    scale_factors: Tuple[int, ...] = (2,)
-    #: Access-matrix rows considered for subset recipes (ranked prefix).
-    max_rows: int = 6
-    #: Cap on row-subset recipes per distribution assignment.
-    max_row_selections: int = 48
 
     def __post_init__(self) -> None:
         unknown = sorted(set(self.recipes) - set(RECIPE_KINDS))
@@ -92,10 +93,6 @@ class SearchSpace:
             raise ReproError("the search space needs at least one recipe")
         if any(size <= 0 for size in self.block_sizes):
             raise ReproError("block sizes must be positive")
-        if any(factor == 0 for factor in self.skew_factors):
-            raise ReproError("skew factors must be non-zero")
-        if any(factor in (0, 1, -1) for factor in self.scale_factors):
-            raise ReproError("scale factors must have magnitude > 1")
 
 
 @dataclass(frozen=True)
@@ -198,17 +195,15 @@ def _complete(
     return transform, provenance
 
 
-def _row_selections(
-    nrows: int, depth: int, space: SearchSpace
-) -> Iterator[Tuple[int, ...]]:
+def _row_selections(nrows: int, depth: int) -> Iterator[Tuple[int, ...]]:
     """Ranked-prefix row subsets, smallest first, both priority orders."""
     emitted = 0
-    usable = min(nrows, space.max_rows)
+    usable = min(nrows, MAX_ROWS)
     for size in range(1, min(depth, usable) + 1):
         for combo in combinations(range(usable), size):
             orders = [combo] if size == 1 else [combo, tuple(reversed(combo))]
             for order in orders:
-                if emitted >= space.max_row_selections:
+                if emitted >= MAX_ROW_SELECTIONS:
                     return
                 emitted += 1
                 yield order
@@ -267,7 +262,7 @@ def enumerate_recipes(
         if basis is None or not kept:
             continue  # empty access matrix: nothing to seed rows/skews from
         if kind == "rows":
-            for selection in _row_selections(matrix.nrows, depth, space):
+            for selection in _row_selections(matrix.nrows, depth):
                 recipe = TransformRecipe("rows", rows=selection)
                 yield _try_complete(
                     recipe, matrix.select_rows(list(selection)), deps, selection
@@ -279,7 +274,7 @@ def enumerate_recipes(
                 for source in range(k):
                     if source == target:
                         continue
-                    for factor in space.skew_factors:
+                    for factor in SKEW_FACTORS:
                         recipe = TransformRecipe(
                             "skew", rows=tuple(kept),
                             skew=(target, source, factor),
@@ -294,7 +289,7 @@ def enumerate_recipes(
             reduced = basis.basis_of(matrix)
             k = reduced.nrows
             for target in range(k):
-                for factor in space.scale_factors:
+                for factor in SCALE_FACTORS:
                     recipe = TransformRecipe(
                         "scale", rows=tuple(kept), scale=(target, factor)
                     )

@@ -4,19 +4,23 @@ The tier-1 engine (``repro.numa.counting``) collapses whole processor
 nests into closed form on top of the progression-counting primitives in
 ``repro.linalg.progression``.  These tests pin the primitives against
 brute force, the per-level strategy selection on the paper kernels, the
-forced-engine error contract of :func:`repro.numa.simulate`, and the
+forced-engine error contract of :func:`repro.numa.simulate`, the
 innermost-summary fallback of the interpreter walk (a fractional
-remainder expression must fall back to enumeration, not raise).
+remainder expression must fall back to enumeration, not raise), and the
+blocked owner rule every tier applies to subscripts past the extent.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from repro.bench import gemm_variants, syr2k_variants
+from repro.codegen import generate_spmd
 from repro.distributions import BlockCyclic, Blocked, Wrapped
 from repro.errors import SimulationError
 from repro.ir.loop import Loop
+from repro.lang import parse_program
 from repro.linalg import (
     Progression,
     affine_segment_starts,
@@ -39,6 +43,7 @@ from repro.numa.ownership import (
 )
 from repro.numa.simulator import _ProcWalker
 from repro.ir.affine import AffineExpr
+from tests.reference_account import _Reference
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +297,7 @@ def test_summary_falls_back_on_fractional_rest():
     def summarize():
         return charge_innermost(
             recipes, len(node.nest.body), inner, walker.env, 2, 0,
-            walker.shapes, True, walker.counts,
+            walker.shapes, walker.counts,
         )
 
     assert summarize() is True
@@ -305,3 +310,66 @@ def test_summary_falls_back_on_fractional_rest():
     walker.env["i"] = 3
     assert summarize() is False
     assert walker.counts == AccessCounts()
+
+
+# ----------------------------------------------------------------------
+# blocked subscripts past the array extent
+# ----------------------------------------------------------------------
+#: ``A[i+4]`` reaches 11 on a 10-element array; at P=4 the block is 3, so
+#: the last processor owns 9..11 by ``Blocked.owner``'s ``v // 3``.
+PAST_EXTENT_DEPTH1 = """program past1
+param N = 10
+real A(N) distribute (blocked)
+real C(N) distribute (blocked)
+for i = 0, N-1
+    C[i] = C[i] + A[i+4]
+"""
+
+#: The same subscript overrun in the innermost loop, which the walk, the
+#: closed-form engine, the compiled kernel and tier 0 each summarize.
+PAST_EXTENT_DEPTH2 = """program past2
+param N = 10
+real A(N, N) distribute (blocked, *)
+real C(N, N) distribute (*, wrapped)
+for i = 0, N-1
+    for j = 0, N-1
+        C[i, j] = C[i, j] + A[j+2, i]
+"""
+
+
+class _OwnerRuleReference(_Reference):
+    """The reference account with the owner rule spelled out, so it also
+    decides subscripts the distributions' bounds checks would reject."""
+
+    def owned(self, array, indices):
+        distribution = self.distributions[array]
+        dim = distribution.distribution_dims()[0]
+        if isinstance(distribution, Wrapped):
+            return indices[dim] % self.processors == self.proc
+        block = -(-self.shapes[array][dim] // self.processors)
+        return indices[dim] // block == self.proc
+
+
+@pytest.mark.parametrize(
+    "source", [PAST_EXTENT_DEPTH1, PAST_EXTENT_DEPTH2],
+    ids=["depth1", "depth2"],
+)
+def test_blocked_subscript_past_extent_follows_owner_rule(source):
+    node = generate_spmd(parse_program(source), block_transfers=False)
+    processors = 4
+    expected = []
+    for proc in range(processors):
+        reference = _OwnerRuleReference(node, None, processors, proc)
+        reference.walk(0)
+        expected.append(reference.counts)
+    accepted = []
+    for engine in ("walk", "symbolic", "closed-form", "compiled"):
+        try:
+            outcome = simulate(node, processors=processors, engine=engine)
+        except SimulationError:
+            continue  # a forced tier may decline, never disagree
+        accepted.append(engine)
+        assert [
+            dataclasses.asdict(result.counts) for result in outcome.per_proc
+        ] == expected, engine
+    assert "walk" in accepted and len(accepted) > 1

@@ -12,7 +12,12 @@ import pytest
 from repro.cli import _parse_procs, main
 from repro.runtime import SimulationCache, reset_shared_cache, set_shared_cache
 from repro.service.client import ServiceClient
-from repro.service.jobs import execute_batch, execute_job, run_compile
+from repro.service.jobs import (
+    build_simulation_cell,
+    execute_batch,
+    execute_job,
+    run_compile,
+)
 from repro.service.protocol import ServiceConfig, ServiceError
 from repro.service.queueing import AdmissionQueue
 from repro.service.router import RouterConfig, RouterThread
@@ -318,6 +323,13 @@ class TestBackpressure:
         counters = client.metrics()["metrics"]["counters"]
         assert counters["service.timeouts"] >= 1
 
+    def test_nan_timeout_falls_back_to_the_server_limit(self, client):
+        # json.loads accepts NaN; a non-finite timeout_s counts as absent.
+        response = client.compile(
+            {"source": GEMM_SOURCE, "delay_ms": 200, "timeout_s": float("nan")}
+        )
+        assert response["ok"] is True
+
     def test_timeout_does_not_cancel_other_waiters(self, server):
         """A timed-out waiter must not tear down the shared computation."""
         payload = {"source": GEMM_SOURCE, "processors": 2, "delay_ms": 600}
@@ -464,6 +476,28 @@ class TestJobLayer:
         # The two identical cells collapsed inside one run_grid call.
         assert snapshot["counters"]["simulate_calls"] == 1
         assert snapshot["counters"]["dedup_hits"] == 1
+
+    def test_naive_simulate_honours_the_schedule(self, monkeypatch):
+        import repro.service.jobs as jobs
+
+        def no_normalize(*args, **kwargs):
+            raise AssertionError("a naive cell must not normalize")
+
+        monkeypatch.setattr(jobs, "access_normalize", no_normalize)
+        cell = build_simulation_cell(
+            {"source": GEMM_SOURCE, "variant": "naive", "schedule": "blocked"}
+        )
+        assert cell.node.schedule == "blocked"
+
+    def test_naive_simulate_rejects_an_unknown_schedule(self):
+        items = [
+            ("simulate", {"source": GEMM_SOURCE, "variant": variant,
+                          "schedule": "diagonal"})
+            for variant in ("naive", "normalized")
+        ]
+        results, _ = execute_batch(items, jobs=1, cache=SimulationCache())
+        assert [r["error"]["code"] for r in results] == ["compile_error"] * 2
+        assert results[0]["error"]["message"] == results[1]["error"]["message"]
 
     def test_run_compile_json_is_deterministic(self):
         payload = {"source": GEMM_SOURCE, "json": True}

@@ -118,8 +118,6 @@ class TestEnumeratorCompleteness:
             SearchSpace(recipes=("derived", "teleport"))
         with pytest.raises(ReproError):
             SearchSpace(block_sizes=(0,))
-        with pytest.raises(ReproError):
-            SearchSpace(scale_factors=(1,))
 
 
 class TestPrunerSoundness:
@@ -138,6 +136,45 @@ class TestPrunerSoundness:
         checked, violation = verify_search_legality(syr2k_program(8, 2))
         assert checked > 0
         assert violation == ""
+
+    def test_legality_violation_is_seen_by_oracle_and_tuner(self, monkeypatch):
+        # Make the legality pass flag one matrix the quick prune admits:
+        # the oracle must report its first candidate, and the tuner must
+        # prune every candidate carrying it.
+        import repro.tune.search as search
+
+        flagged = Matrix([[1, 0, 0], [-1, 0, 1], [0, 1, -1]])
+        real = search.analyze_artifacts
+
+        class FlaggedReport:
+            has_errors = True
+            error_codes = ("LEG001",)
+
+        def analyze(program, *, result, **kwargs):
+            if result.matrix == flagged:
+                return FlaggedReport()
+            return real(program, result=result, **kwargs)
+
+        monkeypatch.setattr(search, "analyze_artifacts", analyze)
+        program = syr2k_program(8, 2)
+        space = SearchSpace(block_sizes=())
+        checked, violation = verify_search_legality(program, space=space)
+        assert checked == 11
+        assert violation == (
+            "emitted T flagged by the legality pass (LEG001): "
+            "derived(rows [0, 1, 2]) under Ab: wrapped column; "
+            "Bb: wrapped column; Cb: wrapped row"
+        )
+
+        result = tune_program(
+            program, processors=(4,), budget=12, space=space,
+            include_baseline=False,
+        )
+        flagged_out = [c for c in result.pruned if c.matrix == flagged]
+        assert [c.index for c in flagged_out] == [10, 11]
+        assert all(c.reason == "legality pass: LEG001" for c in flagged_out)
+        assert flagged_out[0].describe_distributions() in violation
+        assert all(c.matrix != flagged for c in result.ranking)
 
     def test_pruned_candidates_carry_reasons(self):
         result = tune_program(
