@@ -13,7 +13,6 @@ expression with an explicit floor/ceiling division by ``L``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.codegen.locality import RefClass
@@ -393,7 +392,10 @@ class _KernelEmitter:
             f"{self.element_bytes.get(array, 8)}"
         )
         probe = statement.pattern[dims[0]]
-        value = _int_value_text(probe)
+        value = self._exact(probe, pad, (
+            f"non-integral subscript '{probe}' of array {array!r} in "
+            f"{kind.lower()} ownership test"
+        ))
         if kind == "Wrapped":
             self.lines.append(f"{pad}if {value} % _P != _p:")
         else:
@@ -535,23 +537,19 @@ class _KernelEmitter:
                 except CodegenError:
                     return None
                 if kind == "free":
-                    plan.append(("free", 0, None, None, None))
+                    plan.append(("free", 0, None, None, None, None))
                     continue
                 slope = subscript.coeff(index)
                 if slope.denominator != 1:
                     return None
                 rest = subscript - slope * AffineExpr.var(index)
-                plan.append((kind, int(slope), rest, ref.array, dim))
+                plan.append((kind, int(slope), rest, ref.array, dim, subscript))
         return plan
 
     def _innermost_summary(self, level: int, pad: str) -> None:
-        """Collapse the innermost loop exactly like the walk's summary.
-
-        When a remainder expression is fractional the summary is skipped at
-        run time and the loop falls back to plain enumeration — the same
-        behavior (and the same error messages, raised from the per-access
-        charges) as the interpreter walk.
-        """
+        """Collapse the innermost loop exactly like the walk's summary,
+        which never declines: a remainder that is not integral raises the
+        walk's error for the first such reference."""
         loop = self.nest.loops[level]
         first, hi = self._bounds(loop, pad, level)
         step = loop.step
@@ -559,62 +557,34 @@ class _KernelEmitter:
         pad += "    "
         trips = f"_trips{level}"
         self.lines.append(f"{pad}{trips} = ({hi} - {first}) // {step} + 1")
-        rests = []
-        fallback = False
-        checks = []
-        for k, (kind, slope, rest, array, dim) in enumerate(self._summary_plan):
+        rests = [
+            None if kind == "free" else self._exact(rest, pad, (
+                f"non-integral subscript '{subscript}' of array {array!r} "
+                f"in {kind} ownership test"
+            ))
+            for kind, _, rest, array, _, subscript in self._summary_plan
+        ]
+        self.lines.append(f"{pad}_c_iters += {trips}")
+        self.lines.append(f"{pad}_c_stmts += {trips} * {len(self.nest.body)}")
+        for k, (kind, slope, _, array, dim, _) in enumerate(self._summary_plan):
             if kind == "free":
-                rests.append(None)
-                continue
-            den = _denominator(rest)
-            num = _numerator_text(rest, den)
-            if den == 1:
-                rests.append(f"({num})")
-                continue
-            name = f"_rest{level}_{k}"
-            self.lines.append(f"{pad}{name} = {num}")
-            checks.append(f"{name} % {den} == 0")
-            rests.append(f"({name} // {den})")
-            fallback = True
-        if fallback:
-            self.lines.append(f"{pad}if {' and '.join(checks)}:")
-            summary_pad = pad + "    "
-        else:
-            summary_pad = pad
-        self.lines.append(f"{summary_pad}_c_iters += {trips}")
-        self.lines.append(
-            f"{summary_pad}_c_stmts += {trips} * {len(self.nest.body)}"
-        )
-        for k, (kind, slope, rest, array, dim) in enumerate(self._summary_plan):
-            if kind == "free":
-                self.lines.append(f"{summary_pad}_c_local += {trips}")
+                self.lines.append(f"{pad}_c_local += {trips}")
                 continue
             n = f"_n{level}_{k}"
             if kind == "wrapped":
                 self.lines.append(
-                    f"{summary_pad}{n} = _count_congruent({slope}, {rests[k]}, "
+                    f"{pad}{n} = _count_congruent({slope}, {rests[k]}, "
                     f"{first}, {step}, {trips}, _P, _p)"
                 )
             else:
                 tag = self._hoist_blocked(array, dim)
                 self.lines.append(
-                    f"{summary_pad}{n} = _count_in_interval({slope}, "
+                    f"{pad}{n} = _count_in_interval({slope}, "
                     f"{rests[k]}, {first}, {step}, {trips}, _lob_{tag}, "
                     f"_hib_{tag})"
                 )
-            self.lines.append(f"{summary_pad}_c_local += {n}")
-            self.lines.append(f"{summary_pad}_c_remote += {trips} - {n}")
-        if fallback:
-            self.lines.append(f"{pad}else:")
-            body_pad = pad + "    "
-            self.lines.append(
-                f"{body_pad}for {loop.index} in range("
-                f"{first}, {hi} + 1, {step}):"
-            )
-            body_pad += "    "
-            self.lines.append(f"{body_pad}_c_iters += 1")
-            for statement in self.nest.body:
-                self._statement(statement, body_pad)
+            self.lines.append(f"{pad}_c_local += {n}")
+            self.lines.append(f"{pad}_c_remote += {trips} - {n}")
 
     # -- top level -----------------------------------------------------
     def emit(self, function_name: str) -> str:

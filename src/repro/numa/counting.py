@@ -20,7 +20,7 @@ strategy, chosen innermost-out at build time:
 
 ``periodic``
     Deeper levels depend on this index only through wrapped (cyclic)
-    ownership tests, whose outcome is periodic in the index value modulo
+    ownership tests moving by an integer per position, so periodic modulo
     the processor count: the progression splits into at most P residue
     classes (:func:`~repro.linalg.progression.residue_classes`), the inner
     accounting is evaluated once per class and scaled by the class size —
@@ -28,7 +28,8 @@ strategy, chosen innermost-out at build time:
 
 ``segmented``
     The second-innermost level when every body reference is
-    distribution-free and the innermost loop is a plain unit-step loop:
+    distribution-free and the innermost loop is a plain unit-step loop
+    with integral bounds:
     the innermost trip count is a piecewise-affine function of this index
     (max-of-lowers / min-of-uppers), summed exactly per breakpoint segment
     as an arithmetic series — O(bounds^2) segments, independent of trips.
@@ -38,21 +39,21 @@ strategy, chosen innermost-out at build time:
     benefiting from closed forms below).  Levels that deeper blocked or
     block-cyclic ownership tests depend on enumerate.
 
-The engine is *bit-identical* to the interpreter walk on every counter for
-programs inside its domain: affine integral bounds and subscripts, plain
-assignment bodies, block-read prologues, and replicated, wrapped, blocked
-or block-cyclic distributions (:func:`~repro.numa.ownership.owner_rule`).
-Outside it (guarded bodies, multi-dimensional distributions, rational
-bounds or subscripts, block caching) the constructor raises
+The engine is *bit-identical* to the interpreter walk on every counter
+(and raises its error for a non-integral subscript value) for programs
+inside its domain: affine bounds and subscripts, integral or rational
+(counted in position space, :func:`~repro.numa.ownership.owned_count`),
+plain assignment bodies, block-read prologues, and replicated, wrapped,
+blocked or block-cyclic distributions
+(:func:`~repro.numa.ownership.owner_rule`).  Outside it (guarded bodies,
+multi-dimensional distributions, block caching) the constructor raises
 :class:`ClosedFormUnsupported`, letting the simulator fall back to tier 2
-(the compiled kernel) or tier 3 (the walk).  Like the walk's innermost
-summary, ownership is computed from subscript values directly, so
-out-of-range accesses that would make the walk's ``Distribution.owner``
-raise are outside the shared domain (the static bounds pass guards it).
+(the compiled kernel) or tier 3 (the walk).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from repro.codegen.spmd import NodeProgram
@@ -66,7 +67,7 @@ from repro.linalg.progression import (
 from repro.numa.ownership import (
     Recipe,
     _CompiledLoop,
-    _eval_floor,
+    _eval_rational,
     charge_innermost,
     gather_transfers,
     level_progression,
@@ -79,11 +80,6 @@ from repro.numa.simulator import AccessCounts
 
 class ClosedFormUnsupported(Exception):
     """The nest falls outside the closed-form engine's domain."""
-
-
-def _require_integral(expr, what: str) -> None:
-    if not expr.is_integral():
-        raise ClosedFormUnsupported(f"rational {what} '{expr}'")
 
 
 class ClosedFormEngine:
@@ -114,14 +110,7 @@ class ClosedFormEngine:
         }
         indices = nest.indices
 
-        self.compiled: List[_CompiledLoop] = []
-        for loop in nest.loops:
-            exprs = list(loop.lower) + list(loop.upper)
-            if loop.align is not None:
-                exprs.append(loop.align)
-            for expr in exprs:
-                _require_integral(expr, f"bound of loop {loop.index}")
-            self.compiled.append(_CompiledLoop(loop))
+        self.compiled = [_CompiledLoop(loop) for loop in nest.loops]
 
         self.body_len = len(nest.body)
         self.refs: List[Recipe] = []
@@ -135,9 +124,7 @@ class ClosedFormEngine:
                 recipe = ref_recipe(
                     ref, is_write, ref_classes, self.distributions, indices[-1]
                 )
-                self.refs.append(self._counted(
-                    recipe, f"reference {ref}", f"subscript of {ref.array!r}"
-                ))
+                self.refs.append(self._counted(recipe, f"reference {ref}"))
 
         self.reads: List[List[Recipe]] = []
         for level, loop in enumerate(nest.loops):
@@ -162,7 +149,7 @@ class ClosedFormEngine:
             raise ClosedFormUnsupported(f"array {array!r} has no declared shape")
         read = self._counted(
             read_recipe(statement, self.distributions, indices[level]),
-            f"block read of {array!r}", f"block-read probe of {array!r}",
+            f"block read of {array!r}",
         )
         for deeper in indices[level + 1:]:
             if read.subscript is not None and read.subscript.coeff(deeper):
@@ -172,15 +159,13 @@ class ClosedFormEngine:
                 )
         return read
 
-    def _counted(self, recipe: Recipe, what: str, subscript: str) -> Recipe:
+    def _counted(self, recipe: Recipe, what: str) -> Recipe:
         """``recipe``, when the shared counter can count it exactly."""
         if recipe.kind == "enumerate":
             raise ClosedFormUnsupported(
                 f"{what} under '{self.distributions[recipe.array].describe()}' "
                 "needs owner enumeration"
             )
-        if recipe.subscript is not None:
-            _require_integral(recipe.subscript, subscript)
         return recipe
 
     def _choose_strategies(self, indices) -> List[Tuple]:
@@ -201,16 +186,19 @@ class ClosedFormEngine:
                 if any(expr.coeff(name) != 0 for expr in exprs):
                     bounds_dep = True
                     break
-            # Wrapped ownership is periodic in this index; blocked and
-            # block-cyclic ownership make the level enumerate.
-            wrapped_coeffs: List[int] = []
+            # Wrapped ownership moving by an integer per position is
+            # periodic in this index; any other dependence enumerates.
+            wrapped_coeffs: List[Fraction] = []
             blocked_dep = False
             deeper_reads = [read for m in range(level + 1, depth) for read in self.reads[m]]
             for recipe in self.refs + deeper_reads:
                 if recipe.subscript is None or not recipe.subscript.coeff(name):
                     continue
-                if recipe.kind == "wrapped":
-                    wrapped_coeffs.append(int(recipe.subscript.coeff(name)))
+                coeff = recipe.subscript.coeff(name)
+                if recipe.kind == "wrapped" and (
+                    coeff * loops[level].step
+                ).denominator == 1:
+                    wrapped_coeffs.append(coeff)
                 else:
                     blocked_dep = True
             if not bounds_dep and not wrapped_coeffs and not blocked_dep:
@@ -223,6 +211,7 @@ class ClosedFormEngine:
                 and not self.nest.loops[depth - 1].prologue
                 and loops[depth - 1].step == 1
                 and loops[depth - 1].align is None
+                and all(e.is_integral() for e in loops[-1].lower + loops[-1].upper)
             ):
                 strategies.append(("segmented",))
             else:
@@ -273,7 +262,7 @@ class ClosedFormEngine:
             _accumulate(counts, inner, progression.trips)
         elif kind == "periodic":
             period = congruence_period(
-                processors, *(c * progression.step for c in strategy[1])
+                processors, *(int(c * progression.step) for c in strategy[1])
             )
             for value, size in residue_classes(progression, period):
                 inner = AccessCounts()
@@ -311,8 +300,8 @@ class ClosedFormEngine:
                 elements *= shape[dim]
         num_bytes = elements * self.element_bytes.get(read.array, 8)
         local = owned_count(
-            read, _eval_floor(read.rest, env), progression, processors, proc,
-            shapes,
+            read, _eval_rational(read.rest, env), progression, processors,
+            proc, shapes,
         )
         fetches = progression.trips - local
         counts.block_transfers += fetches

@@ -5,21 +5,25 @@ Both the walk (:mod:`repro.numa.simulator`) and the closed-form engine
 ``p`` runs (:func:`level_progression`, always an arithmetic progression)
 and how many of their accesses to one reference ``p`` owns
 (:func:`owned_count` along a :class:`Recipe`, the reference's
-distribution-dimension subscript written as ``slope * index + rest``).
+distribution-dimension subscript written as ``slope * index + rest``,
+counted in position space so rational forms count like integral ones).
 
 Owner maps are affine index maps composed with div/mod along one
 dimension: wrapped ``v mod P`` counts as a linear congruence, blocked
 ``v // ceil(extent / P)`` as an interval and block-cyclic
-``(v // b) mod P`` as a floor-sum (:mod:`repro.linalg.progression`).
-Any other distribution is kind ``enumerate``.
+``(v // b) mod P`` as a floor-sum (:mod:`repro.linalg.progression`);
+:func:`owner_test` is the same rule for one value.  Any other
+distribution is kind ``enumerate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import gcd, prod
-from typing import Mapping, Optional, Sequence, Tuple
+from numbers import Rational
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from repro.codegen.locality import RefClass
 from repro.distributions import BlockCyclic, Blocked, Wrapped
@@ -71,17 +75,19 @@ def _eval_floor(compiled, env) -> int:
     return total // den
 
 
-def _eval_exact(compiled, env) -> Optional[int]:
-    """Integer value, or None when the rational value is not integral."""
+def _eval_rational(compiled, env) -> Rational:
+    """The exact value: an int when ``den`` is 1, else a Fraction."""
     pairs, den, const = compiled
     total = const
     for name, coeff in pairs:
         total += coeff * env[name]
-    if den == 1:
-        return total
-    if total % den:
-        return None
-    return total // den
+    return total if den == 1 else Fraction(total, den)
+
+
+def _eval_exact(compiled, env) -> Optional[int]:
+    """Integer value, or None when the rational value is not integral."""
+    value = _eval_rational(compiled, env)
+    return int(value) if value.denominator == 1 else None
 
 
 class _CompiledLoop:
@@ -175,8 +181,8 @@ class Recipe:
     ``kind`` is an :func:`owner_rule` kind or ``gather`` (a block read
     whose distribution dimensions are all wildcards).  For the counted
     kinds ``subscript`` is the distribution-dimension subscript (a block
-    read's probe), ``slope`` its integral coefficient of the index
-    (``None`` when rational) and ``rest`` the compiled remainder.
+    read's probe), ``slope`` its exact coefficient of the index (an int
+    when integral, else a Fraction) and ``rest`` the compiled remainder.
     """
 
     kind: str
@@ -184,9 +190,16 @@ class Recipe:
     dim: int = 0
     block: int = 0
     subscript: Optional[AffineExpr] = None
-    slope: Optional[int] = None
+    slope: Rational = 0
     rest: Optional[tuple] = None
     pattern: Optional[tuple] = None
+
+    def non_integral(self) -> SimulationError:
+        """The error of an access whose subscript value is not integral."""
+        return SimulationError(
+            f"non-integral subscript '{self.subscript}' of array "
+            f"{self.array!r} in {self.kind} ownership test"
+        )
 
 
 def _recipe(distribution, array, subscripts, index, pattern=None) -> Recipe:
@@ -197,7 +210,7 @@ def _recipe(distribution, array, subscripts, index, pattern=None) -> Recipe:
     slope = subscript.coeff(index)
     return Recipe(
         kind, array, dim, block, subscript,
-        int(slope) if slope.denominator == 1 else None,
+        int(slope) if slope.denominator == 1 else slope,
         _compile_affine(subscript - slope * AffineExpr.var(index)),
         pattern,
     )
@@ -230,36 +243,54 @@ def read_recipe(statement, distributions: Mapping, index: str) -> Recipe:
     return _recipe(distribution, statement.array, pattern, index, pattern)
 
 
+def owner_test(
+    recipe: Recipe, shapes: Mapping[str, Sequence[int]], processors: int,
+    proc: int,
+) -> Callable[[int], bool]:
+    """Whether ``proc`` owns one distribution-dimension index of a
+    counted recipe: the rule :func:`owned_count` counts, also past the
+    extent (blocked is :meth:`Blocked.owner
+    <repro.distributions.Blocked.owner>`'s ``v // ceil(extent / P)``)."""
+    if recipe.kind == "wrapped":
+        return lambda value: value % processors == proc
+    if recipe.kind == "block-cyclic":
+        return lambda value: value // recipe.block % processors == proc
+    block = -(-shapes[recipe.array][recipe.dim] // processors)
+    return lambda value: value // block == proc
+
+
 def owned_count(
-    recipe: Recipe, rest: int, progression: Progression, processors: int,
+    recipe: Recipe, rest: Rational, progression: Progression, processors: int,
     proc: int, shapes: Mapping[str, Sequence[int]],
 ) -> int:
     """How many values of ``progression`` give ``proc`` an owned access.
 
-    ``rest`` is the recipe's remainder at the current outer indices.  A
-    blocked owner holds ``p*block .. (p+1)*block - 1`` with ``block =
-    ceil(extent / P)`` — exactly :meth:`Blocked.owner
-    <repro.distributions.Blocked.owner>`'s ``v // block``, also for
-    subscripts past the extent.
+    ``rest`` is the recipe's exact remainder at the current outer
+    indices.  At position ``k`` the subscript is ``head + advance * k``;
+    a non-integral ``head`` (``trips >= 1``) or ``advance`` (``trips >=
+    2``) is the access enumeration fails on, so it raises its error.
     """
     kind = recipe.kind
-    first, step, trips = progression.first, progression.step, progression.trips
+    trips = progression.trips
     if kind == "free":
         return trips
+    head = recipe.slope * progression.first + rest
+    advance = recipe.slope * progression.step
+    if type(head) is not int or type(advance) is not int:
+        if (trips and head.denominator != 1) or (
+            trips > 1 and advance.denominator != 1
+        ):
+            raise recipe.non_integral()
+        head, advance = int(head), int(advance)
     if kind == "wrapped":
-        return count_congruent(
-            recipe.slope, rest, first, step, trips, processors, proc
-        )
+        return count_congruent(advance, head, 0, 1, trips, processors, proc)
     if kind == "block-cyclic":
         return count_block_cyclic(
-            recipe.slope, rest, first, step, trips, recipe.block,
-            processors, proc,
+            advance, head, 0, 1, trips, recipe.block, processors, proc
         )
-    extent = shapes[recipe.array][recipe.dim]
-    block = -(-extent // processors)
+    block = -(-shapes[recipe.array][recipe.dim] // processors)
     return count_in_interval(
-        recipe.slope, rest, first, step, trips, proc * block,
-        (proc + 1) * block - 1,
+        advance, head, 0, 1, trips, proc * block, (proc + 1) * block - 1
     )
 
 
@@ -267,26 +298,28 @@ def charge_innermost(
     recipes: Sequence[Recipe], statements: int, progression: Progression,
     env: Mapping[str, int], processors: int, proc: int,
     shapes: Mapping[str, Sequence[int]], counts,
-) -> bool:
+) -> None:
     """Charge a whole innermost level to ``counts`` in O(refs) time.
 
     ``recipes`` are the body references' recipes along the innermost
-    index, ``statements`` the number of body statements.  Returns False —
-    charging nothing — when a remainder is not integral at the current
-    outer indices; the walk then enumerates the level, whose
-    per-access charges report the offending subscript precisely.
+    index, ``statements`` the number of body statements.  Like
+    enumeration, it raises for a non-integral head (in reference order)
+    before any non-integral advance.
     """
     trips = progression.trips
     if trips == 0:
-        return True
+        return
     local = 0
+    counted = []
     for recipe in recipes:
         if recipe.kind == "free":
             local += trips
             continue
-        rest = _eval_exact(recipe.rest, env)
-        if rest is None:
-            return False
+        rest = _eval_rational(recipe.rest, env)
+        if (recipe.slope * progression.first + rest).denominator != 1:
+            raise recipe.non_integral()
+        counted.append((recipe, rest))
+    for recipe, rest in counted:
         local += owned_count(
             recipe, rest, progression, processors, proc, shapes
         )
@@ -294,7 +327,6 @@ def charge_innermost(
     counts.statements += trips * statements
     counts.local += local
     counts.remote += trips * len(recipes) - local
-    return True
 
 
 def owned_elements(distribution, shape, processors: int, proc: int) -> int:

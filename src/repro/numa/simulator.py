@@ -37,6 +37,7 @@ from repro.ir.scalar import ArrayRef
 from repro.ir.stmt import Assign, BlockRead, IfThen, Statement
 from repro.numa.machine import MachineConfig, butterfly_gp1000
 from repro.numa.ownership import (
+    Recipe,
     _compile_affine,
     _CompiledLoop,
     _eval_exact,
@@ -44,6 +45,7 @@ from repro.numa.ownership import (
     gather_transfers,
     level_progression,
     owner_rule,
+    owner_test,
     ref_recipe,
 )
 
@@ -264,8 +266,8 @@ class _ProcWalker:
             (info.ref, info.is_write): info.ref_class for info in node.plan.refs
         }
         self._compiled = [_CompiledLoop(loop) for loop in self.nest.loops]
-        # Recipes of the innermost references when the shared counter can
-        # charge the innermost loop in one step; None: enumerate it.
+        # Recipes of the innermost references when the shared counter
+        # charges the innermost loop in one step; None: enumerate it.
         self._inner = None
         loops = self.nest.loops
         if (
@@ -282,7 +284,7 @@ class _ProcWalker:
                 for statement in self.nest.body
                 for ref, is_write in statement.array_refs()
             ]
-            if all(r.kind == "free" or r.slope is not None for r in recipes):
+            if all(r.kind != "enumerate" for r in recipes):
                 self._inner = recipes
         self._fast_body = [self._compile_statement(s) for s in self.nest.body]
         self._fast_prologue = [
@@ -293,50 +295,52 @@ class _ProcWalker:
     # ------------------------------------------------------------------
     # compiled per-iteration execution
     # ------------------------------------------------------------------
+    def _compile_owned(self, array: str, subscripts):
+        """``env -> bool``: does this processor own element ``subscripts``
+        of ``array`` (a ``None`` wildcard probes 0)?  Only ``enumerate``
+        kinds ask ``Distribution.owner``; the rest apply :func:`owner_test`."""
+        distribution = self.distributions[array]
+        kind, dim, block = owner_rule(distribution)
+        if kind != "enumerate":
+            recipe = Recipe(kind, array, dim, block, subscripts[dim])
+            compiled = _compile_affine(recipe.subscript)
+            owns = owner_test(recipe, self.shapes, self.P, self.p)
+
+            def owned_counted(env):
+                value = _eval_exact(compiled, env)
+                if value is None:
+                    raise recipe.non_integral()
+                return owns(value)
+            return owned_counted
+
+        def owned_generic(env):
+            shape = self.shapes.get(array)
+            if shape is None:
+                raise SimulationError(f"array {array!r} has no declared shape")
+            indices = tuple(
+                0 if sub is None else sub.evaluate_int(env) for sub in subscripts
+            )
+            owner = distribution.owner(indices, self.P, shape)
+            return owner is None or owner == self.p
+        return owned_generic
+
     def _compile_charge(self, ref: ArrayRef, is_write: bool):
         """A closure charging one access of ``ref`` under the current env."""
         counts = self.counts
         rc = self.ref_classes.get((ref, is_write), RefClass.CHECK)
-        kind, dim, _ = owner_rule(self.distributions.get(ref.array))
+        kind = owner_rule(self.distributions.get(ref.array))[0]
         if kind == "free" or rc in (RefClass.LOCAL, RefClass.COVERED):
             def charge_local(env):
                 counts.local += 1
             return charge_local
-        if kind in ("wrapped", "blocked"):
-            subscript = ref.subscripts[dim]
-            compiled = _compile_affine(subscript)
-            error = (
-                f"non-integral subscript '{subscript}' of array "
-                f"{ref.array!r} in {kind} ownership test"
-            )
-            cap, proc = self.P, self.p
-            wrapped = kind == "wrapped"
-            if not wrapped:
-                block = -(-self.shapes[ref.array][dim] // cap)
-                low, high = proc * block, (proc + 1) * block - 1
+        owned = self._compile_owned(ref.array, ref.subscripts)
 
-            def charge_counted(env):
-                value = _eval_exact(compiled, env)
-                if value is None:
-                    raise SimulationError(error)
-                if value % cap == proc if wrapped else low <= value <= high:
-                    counts.local += 1
-                else:
-                    counts.remote += 1
-            return charge_counted
-
-        distribution = self.distributions[ref.array]
-
-        def charge_generic(env):
-            shape = self.shapes.get(ref.array)
-            if shape is None:
-                raise SimulationError(f"array {ref.array!r} has no declared shape")
-            owner = distribution.owner(ref.index_tuple(env), self.P, shape)
-            if owner is None or owner == self.p:
+        def charge(env):
+            if owned(env):
                 counts.local += 1
             else:
                 counts.remote += 1
-        return charge_generic
+        return charge
 
     def _compile_statement(self, statement: Statement):
         """Compile a statement into a fast per-iteration closure."""
@@ -444,19 +448,17 @@ class _ProcWalker:
                 _compile_affine(entry) if entry is not None else None
                 for entry in statement.pattern
             ]
-            cap, proc = self.P, self.p
             array_name = statement.array
+            owned = self._compile_owned(array_name, statement.pattern)
 
             def run_read(env):
-                probe = tuple(
-                    _eval_exact(c, env) if c is not None else 0
-                    for c in compiled_probe
-                )
-                owner = distribution.owner(probe, cap, shape)
-                if owner is None or owner == proc:
+                if owned(env):
                     return
                 if cache is not None:
-                    key = (array_name, probe)
+                    key = (array_name, tuple(
+                        _eval_exact(c, env) if c is not None else 0
+                        for c in compiled_probe
+                    ))
                     if key in cache:
                         return  # already fetched by this processor
                     cache.add(key)
@@ -484,12 +486,11 @@ class _ProcWalker:
             self._compiled[level], env,
             self.node.schedule if level == 0 else "all", self.P, self.p,
         )
-        if level == nest.depth - 1 and self._inner is not None and (
+        if level == nest.depth - 1 and self._inner is not None:
             charge_innermost(
                 self._inner, len(nest.body), progression, env, self.P,
                 self.p, self.shapes, self.counts,
             )
-        ):
             return
         index = nest.loops[level].index
         prologue = self._fast_prologue[level]

@@ -8,8 +8,9 @@ over the program parameters, the processor count and the processor id —
 after which every sweep cell is a single compiled-form evaluation.
 
 The derivation deliberately reuses the closed-form engine's build-time
-analysis (bound compilation, reference/read recipes, domain checks) so the
-two tiers share one notion of "supported nest", then replaces its
+analysis (bound compilation, reference/read recipes, domain checks) and
+derives the integral, non-block-cyclic part of its domain
+(:func:`unsupported_reason`), then replaces its
 per-level strategy dispatch with a uniform innermost-out symbolic
 summation: each loop level contributes ``value = first + stride * t`` for
 ``t in [0, trips)``, ownership tests become ``Mod``/``Ge0`` indicator
@@ -100,9 +101,10 @@ FIELDS = (
 
 
 def _from_compiled(compiled) -> SymExpr:
-    """A ``_compile_affine`` triple as a SymExpr (integral by tier-1 checks)."""
+    """A ``_compile_affine`` triple as a SymExpr (integral by
+    :func:`unsupported_reason`)."""
     pairs, den, c = compiled
-    if den != 1:  # pragma: no cover - _require_integral rejects these
+    if den != 1:  # pragma: no cover - unsupported_reason rejects these
         raise SymbolicUnsupported("rational affine expression")
     total = const(c)
     for name, coeff in pairs:
@@ -119,8 +121,18 @@ def _from_affine(expr) -> SymExpr:
 
 
 def unsupported_reason(base: ClosedFormEngine) -> Optional[str]:
-    """Why a nest tier 1 accepts has no symbolic form (None: derive)."""
-    for recipe in base.refs + [r for reads in base.reads for r in reads]:
+    """Why a nest tier 1 accepts has no symbolic form (None: derive);
+    tier 0 derives integral, non-block-cyclic nests only."""
+    for loop in base.nest.loops:
+        for expr in (*loop.lower, *loop.upper, loop.align):
+            if expr is not None and not expr.is_integral():
+                return f"rational bound of loop {loop.index} '{expr}'"
+    recipes = base.refs + [r for reads in base.reads for r in reads]
+    for recipe in recipes:
+        if recipe.subscript is not None and not recipe.subscript.is_integral():
+            what = "subscript" if recipe.pattern is None else "block-read probe"
+            return f"rational {what} of {recipe.array!r} '{recipe.subscript}'"
+    for recipe in recipes:
         kind = recipe.kind
         if kind == "gather":
             kind = owner_rule(base.distributions[recipe.array])[0]
@@ -276,10 +288,7 @@ class SymbolicEngine:
             return eq0(mod(c, P)) * pos(trips)
         if not s.is_const():
             return None
-        slope = s.const_value()
-        if slope.denominator != 1:
-            return None
-        slope = slope.numerator
+        slope = int(s.const_value())  # integral: tier 0's domain
         if slope == 1:
             t0 = mod(-c, P)
         elif slope == -1:
@@ -296,10 +305,7 @@ class SymbolicEngine:
         s = SymExpr._coerce(s)
         if not s.is_const():
             return None
-        slope = s.const_value()
-        if slope.denominator != 1:
-            return None
-        slope = slope.numerator
+        slope = int(s.const_value())  # integral: tier 0's domain
         if slope == 0:
             return ge0(c - low) * ge0(high - c) * pos(trips)
         if slope > 0:

@@ -13,7 +13,9 @@ intermediate representation alone:
 * locality classes from the node program's locality plan;
 * ownership from the distribution's owner map
   (:meth:`~repro.distributions.base.Distribution.owner`), element by
-  element.
+  element — except that a blocked owner is spelled out as ``v //
+  ceil(extent / P)``, so subscripts and block-read probes past the extent
+  (which the owner map's bounds check rejects) follow the same rule.
 
 It deliberately imports nothing from ``repro.numa`` or
 ``repro.linalg.progression``, so a defect in the ownership counter the
@@ -25,6 +27,7 @@ from itertools import product
 from math import prod
 
 from repro.codegen.locality import RefClass
+from repro.distributions import Blocked
 from repro.ir.stmt import Assign, BlockRead, IfThen
 
 #: The simulator's event counters, in declaration order.
@@ -106,6 +109,9 @@ class _Reference:
         distribution = self.distributions.get(array)
         if distribution is None:
             return True
+        if type(distribution) is Blocked:
+            size = -(-self.shapes[array][distribution.dim] // self.processors)
+            return indices[distribution.dim] // size == self.proc
         owner = distribution.owner(indices, self.processors, self.shapes[array])
         return owner is None or owner == self.proc
 

@@ -5,9 +5,10 @@ nests into closed form on top of the progression-counting primitives in
 ``repro.linalg.progression``.  These tests pin the primitives against
 brute force, the per-level strategy selection on the paper kernels, the
 forced-engine error contract of :func:`repro.numa.simulate`, the
-innermost-summary fallback of the interpreter walk (a fractional
-remainder expression must fall back to enumeration, not raise), and the
-blocked owner rule every tier applies to subscripts past the extent.
+position-space innermost summary (a remainder that is fractional as an
+expression but integral at the current indices is counted; a
+non-integral subscript value raises the walk's error), and the owner
+rule every tier applies to blocked subscripts past the extent.
 """
 
 import dataclasses
@@ -43,7 +44,7 @@ from repro.numa.ownership import (
 )
 from repro.numa.simulator import _ProcWalker
 from repro.ir.affine import AffineExpr
-from tests.reference_account import _Reference
+from tests.reference_account import reference_account
 
 
 # ----------------------------------------------------------------------
@@ -280,35 +281,45 @@ def test_closed_form_rejects_block_cache():
 
 
 # ----------------------------------------------------------------------
-# innermost-summary fallback (fractional remainder expressions)
+# innermost summary in position space (rational remainders)
 # ----------------------------------------------------------------------
-def test_summary_falls_back_on_fractional_rest():
+def test_summary_counts_rational_rest_in_position_space():
     node = gemm_variants(8)["gemm"]
     env = node.program.bound_params(None)
     env[node.procs_param] = 2
     env[node.proc_param] = 0
     walker = _ProcWalker(node, env, 2, 0, "account", None)
-    # Force a remainder expression of i/2: integral only at even i.
+    index = node.nest.indices[-1]
+    # A remainder of i/2: fractional as an expression, integral at even i.
     half_i = AffineExpr.var("i") * Fraction(1, 2)
-    recipes = [Recipe("wrapped", "A", 1, slope=1, rest=_compile_affine(half_i))]
+    subscript = AffineExpr.var(index) + half_i
+    recipes = [Recipe(
+        "wrapped", "A", 1, subscript=subscript, slope=1,
+        rest=_compile_affine(half_i),
+    )]
     walker.env["i"] = walker.env["j"] = 2
     inner = level_progression(walker._compiled[-1], walker.env, "all", 2, 0)
 
     def summarize():
-        return charge_innermost(
+        charge_innermost(
             recipes, len(node.nest.body), inner, walker.env, 2, 0,
             walker.shapes, walker.counts,
         )
 
-    assert summarize() is True
+    summarize()
     assert walker.counts.iterations == 8  # N=8 trips charged in one step
-    charged = walker.counts.local + walker.counts.remote
-    assert charged == 8
-    # At odd i the remainder is fractional: the summary must decline
-    # without charging anything, so the caller can enumerate the loop.
+    owned = sum((v + 1) % 2 == 0 for v in inner.values())
+    assert (walker.counts.local, walker.counts.remote) == (owned, 8 - owned)
+    # At odd i the head is not integral: the summary raises the error of
+    # the first access enumeration would make, and charges nothing.
     walker.counts = AccessCounts()
     walker.env["i"] = 3
-    assert summarize() is False
+    with pytest.raises(SimulationError) as info:
+        summarize()
+    assert str(info.value) == (
+        f"non-integral subscript '{subscript}' of array 'A' in wrapped "
+        "ownership test"
+    )
     assert walker.counts == AccessCounts()
 
 
@@ -337,39 +348,37 @@ for i = 0, N-1
 """
 
 
-class _OwnerRuleReference(_Reference):
-    """The reference account with the owner rule spelled out, so it also
-    decides subscripts the distributions' bounds checks would reject."""
-
-    def owned(self, array, indices):
-        distribution = self.distributions[array]
-        dim = distribution.distribution_dims()[0]
-        if isinstance(distribution, Wrapped):
-            return indices[dim] % self.processors == self.proc
-        block = -(-self.shapes[array][dim] // self.processors)
-        return indices[dim] // block == self.proc
+#: A blocked block read past the extent: ``read A[i+4, *]`` probes row
+#: 10..13 of a 10-row array, which the last processor owns by ``v // 3``
+#: at P=4.
+PAST_EXTENT_READ = """program past3
+param N = 10
+real A(N, N) distribute (blocked, *)
+real C(N, N) distribute (blocked, *)
+for i = 0, N-1
+    for j = 0, N-1
+        C[i, j] = C[i, j] + A[i+4, j]
+"""
 
 
 @pytest.mark.parametrize(
-    "source", [PAST_EXTENT_DEPTH1, PAST_EXTENT_DEPTH2],
-    ids=["depth1", "depth2"],
+    "source, options",
+    [
+        (PAST_EXTENT_DEPTH1, {"block_transfers": False}),
+        (PAST_EXTENT_DEPTH2, {"block_transfers": False}),
+        (PAST_EXTENT_READ, {"schedule": "blocked"}),
+    ],
+    ids=["depth1", "depth2", "block-read"],
 )
-def test_blocked_subscript_past_extent_follows_owner_rule(source):
-    node = generate_spmd(parse_program(source), block_transfers=False)
+def test_blocked_subscript_past_extent_follows_owner_rule(source, options):
+    node = generate_spmd(parse_program(source), **options)
     processors = 4
-    expected = []
-    for proc in range(processors):
-        reference = _OwnerRuleReference(node, None, processors, proc)
-        reference.walk(0)
-        expected.append(reference.counts)
-    accepted = []
-    for engine in ("walk", "symbolic", "closed-form", "compiled"):
-        try:
-            outcome = simulate(node, processors=processors, engine=engine)
-        except SimulationError:
-            continue  # a forced tier may decline, never disagree
-        accepted.append(engine)
+    expected = [
+        reference_account(node, None, processors, proc)
+        for proc in range(processors)
+    ]
+    for engine in ("walk", "auto", "symbolic", "closed-form", "compiled"):
+        outcome = simulate(node, processors=processors, engine=engine)
         assert [
             dataclasses.asdict(result.counts) for result in outcome.per_proc
         ] == expected, engine
-    assert "walk" in accepted and len(accepted) > 1

@@ -59,6 +59,11 @@ def nodes():
         # Block-cyclic ownership: no symbolic form, the closed-form
         # engine serves.
         "triangular-skew": _program_node("tests/corpus/triangular-skew.json"),
+        # A rational inner bound: no symbolic form, the closed-form
+        # engine serves.
+        "rational-bound": _program_node(
+            "tests/corpus/rational-negative-bound.json"
+        ),
         # Two-dimensional ownership on a 1x2 grid (P=2 only): every
         # faster tier rejects, the walk serves.
         "block-2d": _program_node(
@@ -156,6 +161,14 @@ def test_auto_serves_block_cyclic_from_closed_form(nodes):
     (skip,) = choice.skips
     assert (skip.tier, skip.reason) == ("symbolic", "unsupported")
     assert skip.detail == "block-cyclic ownership of 'A' has no symbolic form"
+
+
+def test_auto_serves_rational_bounds_from_closed_form(nodes):
+    choice = _choose(nodes["rational-bound"])
+    assert choice.tier == "closed-form"
+    (skip,) = choice.skips
+    assert (skip.tier, skip.reason) == ("symbolic", "unsupported")
+    assert skip.detail == "rational bound of loop v '-1/2*u-1/2'"
 
 
 def test_auto_falls_to_the_walk_with_every_reason(nodes):

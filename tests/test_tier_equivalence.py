@@ -124,3 +124,103 @@ def test_paper_kernels_are_tier1_end_to_end():
     for name, node in syr2k_variants(24, 4).items():
         outcome = simulate(node, processors=4)
         assert outcome.engine == "symbolic", (name, outcome.engine)
+
+
+# ----------------------------------------------------------------------
+# rational bounds and subscripts (non-unimodular loop scaling)
+# ----------------------------------------------------------------------
+#: A strided loop whose subscript coefficient is rational: ``1/2*u``
+#: moves by 1 per position of the step-2 loop ``u``.
+HALFWRAP = """program halfwrap
+param N = 10
+real A(2*N, N) distribute (wrapped, *)
+real C(N, N) distribute (wrapped, *)
+for w = 0, N-1
+    for u = 0, 2*N-2, step 2
+        for v = 0, N-1
+            C[w, 0] = C[w, 0] + A[1/2*u + v, w]
+"""
+
+#: Distribution-free, with a rational innermost upper bound.
+HALFSEG = """program halfseg
+param N = 9
+real A(N, N)
+for u = 0, N-1
+    for v = 0, 1/2*u
+        A[u, v] = A[u, v] + 1
+"""
+
+#: ``1/2*j`` is not integral at odd ``j``.
+HALFJ = """program halfj
+param N = 6
+real A(N, N) distribute (wrapped, *)
+real C(N, N) distribute (*, wrapped)
+for i = 0, N-1
+    for j = 0, N-1
+        C[i, j] = C[i, j] + A[1/2*j, i]
+"""
+
+#: The block read ``read A[1/2*i, *]`` probes a non-integral row at odd ``i``.
+HALFREAD = """program halfread
+param N = 8
+real A(N, N) distribute (blocked, *)
+real C(N, N) distribute (blocked, *)
+for i = 0, N-1
+    for j = 0, N-1
+        C[i, j] = C[i, j] + A[1/2*i, j]
+"""
+
+
+def _closed_form_matches_reference(node, processors):
+    outcome = simulate(node, processors=processors, engine="closed-form")
+    assert [
+        dataclasses.asdict(result.counts) for result in outcome.per_proc
+    ] == [
+        reference_account(node, None, processors, proc)
+        for proc in range(processors)
+    ]
+
+
+@pytest.mark.parametrize("processors", PROCS)
+def test_closed_form_counts_rational_subscripts(processors):
+    node = generate_spmd(parse_program(HALFWRAP), block_transfers=False)
+    _closed_form_matches_reference(node, processors)
+    _assert_tiers_match(node, processors)
+
+
+@pytest.mark.parametrize("processors", PROCS)
+def test_rational_inner_bound_is_not_segmented(processors):
+    from repro.numa.counting import ClosedFormEngine
+
+    node = generate_spmd(parse_program(HALFSEG), block_transfers=False)
+    assert ClosedFormEngine(node).describe_strategies() == ("enumerate", "inner")
+    _closed_form_matches_reference(node, processors)
+
+
+def test_closed_form_accepts_rational_negative_bound():
+    with open(os.path.join(os.path.dirname(__file__), "corpus",
+                           "rational-negative-bound.json")) as handle:
+        spec = ProgramSpec.from_dict(json.load(handle)["spec"])
+    node = generate_spmd(access_normalize(spec.build()).transformed)
+    for processors in PROCS:
+        _closed_form_matches_reference(node, processors)
+
+
+@pytest.mark.parametrize("engine", ("walk", "auto", "closed-form", "compiled"))
+@pytest.mark.parametrize(
+    "source, options, message",
+    [
+        (HALFJ, {"block_transfers": False},
+         "non-integral subscript '1/2*j' of array 'A' in wrapped ownership test"),
+        (HALFREAD, {"schedule": "blocked"},
+         "non-integral subscript '1/2*i' of array 'A' in blocked ownership test"),
+    ],
+    ids=["reference", "block-read"],
+)
+def test_non_integral_subscript_raises_the_walk_error(
+    source, options, message, engine
+):
+    node = generate_spmd(parse_program(source), **options)
+    with pytest.raises(SimulationError) as info:
+        simulate(node, processors=2, engine=engine)
+    assert str(info.value) == message
